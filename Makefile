@@ -1,7 +1,6 @@
 .PHONY: install test test-faults test-loadbalance test-transport \
-	test-reuse test-health test-backends bench bench-quick bench-step \
-	bench-transport bench-backends bench-history trace flame dashboard \
-	clean
+	test-health bench bench-quick bench-step bench-transport \
+	bench-history bench-selftest trace flame dashboard clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -42,24 +41,6 @@ test-transport:
 	pytest tests/harness/test_differential.py -k "transport or process"
 	pytest tests/harness/test_faults.py -k "parity or transport or crash"
 
-# Step-coherence suite: incremental octree repair, walk warm-starts and
-# the incremental LET drain (docs/PERFORMANCE.md §5).  Bitwise-equality
-# gates at 1/2/4/8 ranks plus fault schedules against the reuse paths,
-# then the reuse-on/off bench smoke (counts gate hard, wall advisory).
-test-reuse:
-	pytest tests/test_octree_incremental.py tests/test_forest_walk.py \
-	       tests/harness/test_reuse_faults.py \
-	       -m "harness_slow or not harness_slow"
-	pytest benchmarks/bench_step_pipeline.py::test_step_reuse_on_off -q
-
-# Compute-backend registry + equivalence suite (docs/PERFORMANCE.md §6):
-# registry/driver threading, numpy-default bitwise gates, oracle
-# agreement for every backend the host carries (numba/cupy skip when
-# absent -- install with `pip install -e .[numba]` to exercise the JIT).
-test-backends:
-	pytest tests/test_gravity_backends.py \
-	       -m "harness_slow or not harness_slow"
-
 bench:
 	pytest benchmarks/ --benchmark-only
 
@@ -75,16 +56,6 @@ bench-step:
 bench-transport:
 	pytest benchmarks/bench_transport.py -q
 
-# Per-backend kernel timing: oracle-equivalence smoke, then one
-# kernel_backends run appended to the history with the count gate
-# judged (numba rows appear when the JIT extra is installed; see
-# docs/PERFORMANCE.md §6).  Scale with BACKEND_BENCH_N / _REPEATS.
-bench-backends:
-	pytest benchmarks/bench_backends.py -q
-	PYTHONPATH=src:$$PYTHONPATH python -m repro.obs.bench run kernel_backends
-	PYTHONPATH=src:$$PYTHONPATH python -m repro.obs.bench history kernel_backends \
-	       --threshold 0.25 --min-abs 0.05
-
 # Registered-benchmark runner: append one run of the two CI benches to
 # benchmarks/history/*.jsonl, then judge the trajectory -- deterministic
 # count metrics gate hard (exit 1 on drift), wall-clock is advisory
@@ -96,6 +67,13 @@ bench-history:
 	       --threshold 0.25 --min-abs 0.05
 	PYTHONPATH=src:$$PYTHONPATH python -m repro.obs.bench history obs_overhead \
 	       --threshold 0.25 --min-abs 0.05
+
+# Repo benchmark self-test (~30 s): every BENCHMARK.json workload at a
+# tiny N, untraced and traced.  The traced run installs the per-layer
+# probe (mwbench/probe.py), so a renamed or removed pipeline function
+# it wraps fails here.
+bench-selftest:
+	python3 mwbench/selftest.py
 
 # The subset that regenerates every table/figure without the long
 # evolution runs (fig3, equal-mass heating).

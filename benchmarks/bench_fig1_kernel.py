@@ -8,8 +8,6 @@ the original and ~4x the Fermi kernel, and the tree kernel on K20X is
 competitive with the CUDA-SDK direct kernel.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -17,8 +15,6 @@ from conftest import write_result
 from repro.gravity import (
     FLOPS_PER_PC,
     FLOPS_PER_PP,
-    available_backends,
-    get_backend,
     pc_interactions,
     pp_interactions,
 )
@@ -76,48 +72,6 @@ def test_measured_pc_kernel_gflops(benchmark, pair_data, results_dir):
         f"pairs/call: {N_PAIRS}",
         f"sustained: {gflops:.3f} Gflops"])
     assert gflops > 0.01
-
-
-def test_measured_backend_kernel_gflops(pair_data, results_dir):
-    """Per-backend Gflop/s on the same pair batch (select: -k backend).
-
-    Times every *available* compute backend's raw pair-batch kernels
-    (``backend.pp_kernel`` / ``backend.pc_kernel``) with manual best-of
-    timing rather than the benchmark fixture, so the row count adapts to
-    whatever backends the host carries -- on a numba-free container this
-    is a numpy-only table, in the backend-matrix CI job the numba column
-    appears next to it.  Kernel output must match the reference batch
-    kernels, so the table can never drift from the physics."""
-    d, m, quad = pair_data
-    ref_pp = pp_interactions(d[:, 0], d[:, 1], d[:, 2], m, 0.01)
-    ref_pc = pc_interactions(d[:, 0], d[:, 1], d[:, 2], m, quad, 0.01)
-    lines = ["Host pair-batch kernels by compute backend "
-             "(paper flop conventions)",
-             f"pairs/call: {N_PAIRS}",
-             f"{'backend':12s} {'pp Gflops':>10s} {'pc Gflops':>10s}"]
-    for name in available_backends():
-        backend = get_backend(name)
-        backend.warmup()
-        rates = []
-        for kernel, ref, flops in (
-                (lambda: backend.pp_kernel(d[:, 0], d[:, 1], d[:, 2],
-                                           m, 0.01),
-                 ref_pp, FLOPS_PER_PP),
-                (lambda: backend.pc_kernel(d[:, 0], d[:, 1], d[:, 2],
-                                           m, quad, 0.01),
-                 ref_pc, FLOPS_PER_PC)):
-            got = kernel()
-            for g, r in zip(got, ref):
-                np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                kernel()
-                best = min(best, time.perf_counter() - t0)
-            rates.append(N_PAIRS * flops / best / 1e9)
-        lines.append(f"{name:12s} {rates[0]:10.3f} {rates[1]:10.3f}")
-        assert min(rates) > 0.01
-    write_result("fig1_measured_backends", lines)
 
 
 def test_pc_kernel_costs_more_per_interaction(benchmark, pair_data):

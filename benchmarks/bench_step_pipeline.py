@@ -189,84 +189,3 @@ def test_step_pipeline_speedup(results_dir):
     ))
 
     assert ref_wall > 0 and fast_wall > 0
-
-
-#: Step-coherence knobs (docs/PERFORMANCE.md): incremental tree repair,
-#: walk warm-starts, incremental LET drain.  Paired with measured load
-#: balance -- which pins the bounding box between rebalances -- because
-#: a refitted box would force the tree cache cold every step.
-COHERENT = dict(tree_reuse="repair", walk_warm_start=True,
-                let_drain="incremental")
-REUSE_STEPS = int(os.environ.get("REUSE_BENCH_STEPS", "4"))
-REUSE_REPS = int(os.environ.get("REUSE_BENCH_REPS", "2"))
-
-
-def _best_of(config, n, steps, reps, **run_kw):
-    """Best-of-``reps`` wall/per-phase times (elementwise min): thread
-    scheduling noise on shared runners swamps the few-percent phase
-    deltas; the counts must agree across reps exactly."""
-    best_wall = best_ph = counts0 = None
-    for _ in range(reps):
-        wall, ph, counts, _ = _run(config, n, steps, **run_kw)
-        if counts0 is None:
-            counts0 = counts
-        assert counts == counts0
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-        best_ph = ph if best_ph is None else \
-            {k: min(best_ph[k], ph[k]) for k in ph}
-    return best_wall, best_ph, counts0
-
-
-def test_step_reuse_on_off(results_dir):
-    """Reuse-on vs reuse-off rows: interaction counts gate hard (the
-    knobs are pure optimisations), the tree-build/sorting/LET wall
-    seconds ride along as advisory history."""
-    lb = dict(load_balance="measured", lb_source="counts")
-    # The coherent regime: per-step drift below the key-grid resolution
-    # keeps tree topology stable, so repair/warm-start actually engage
-    # (dt=0.01 churns every leaf and the caches correctly fall cold).
-    gentle = dict(dt=1e-4)
-    off_wall, off_ph, off_counts = _best_of(
-        _cfg(**gentle), BENCH_N, REUSE_STEPS, REUSE_REPS, **lb)
-    on_wall, on_ph, on_counts = _best_of(
-        _cfg(**gentle, **COHERENT), BENCH_N, REUSE_STEPS, REUSE_REPS, **lb)
-    assert on_counts == off_counts  # bitwise contract, never relaxed
-
-    def coherence_s(ph):
-        return ph["tree_construction"] + ph["sorting"] + ph["gravity_let"]
-
-    lines = [
-        f"Step coherence (tree_reuse=repair, walk_warm_start, "
-        f"let_drain=incremental) vs off "
-        f"(N={BENCH_N}, ranks={N_RANKS}, steps={REUSE_STEPS}, "
-        f"measured LB, MW disk IC)",
-        f"{'phase':18s}{'reuse off':>12s}{'reuse on':>12s}{'speedup':>9s}",
-    ]
-    for ph in TABLE2_PHASES:
-        r, f = off_ph[ph], on_ph[ph]
-        sp = f"{r / f:8.2f}x" if f > 1e-9 else "      --"
-        lines.append(f"{ph:18s}{r:12.3f}{f:12.3f}{sp}")
-    lines += [
-        f"{'WALL (end-to-end)':18s}{off_wall:12.3f}{on_wall:12.3f}"
-        f"{off_wall / on_wall:8.2f}x",
-        f"counts identical: pp={on_counts[0]} pc={on_counts[1]}",
-    ]
-    write_result("step_reuse", lines)
-
-    append_history(BenchResult(
-        bench="step_pipeline",
-        config={"n": BENCH_N, "ranks": N_RANKS, "steps": REUSE_STEPS,
-                "seed": 42, "dt": 1e-4, "pipeline": "reuse_vs_off"},
-        counts={"n_pp": on_counts[0], "n_pc": on_counts[1]},
-        wall={"wall_off_s": off_wall, "wall_on_s": on_wall,
-              "speedup": off_wall / on_wall,
-              "coherence_off_s": coherence_s(off_ph),
-              "coherence_on_s": coherence_s(on_ph),
-              "tree_off_s": off_ph["tree_construction"],
-              "tree_on_s": on_ph["tree_construction"],
-              "let_off_s": off_ph["gravity_let"],
-              "let_on_s": on_ph["gravity_let"]},
-    ))
-
-    assert off_wall > 0 and on_wall > 0

@@ -3,15 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .constants import PAPER_NLEAF, PAPER_THETA
-from .gravity.treewalk import DEFAULT_CHUNK, PRECISIONS, SCATTER_MODES
-from .octree.incremental import TREE_REUSE_MODES
-
-#: LET drain orderings for the distributed force phase.  ``auto``
-#: resolves to ``deterministic`` under a deterministic tracer and
-#: ``opportunistic`` otherwise (the pre-knob behaviour).
-LET_DRAIN_MODES = ("auto", "deterministic", "incremental", "opportunistic")
+from .gravity.treewalk import DEFAULT_CHUNK, SCATTER_MODES
 
 
 @dataclasses.dataclass
@@ -33,46 +28,19 @@ class SimulationConfig:
     quadrupole: bool = True
     force_method: str = "tree"       # "tree" or "direct" (O(N^2) oracle)
 
-    # --- Fast-path force pipeline knobs ---------------------------------
+    # --- Force pipeline knobs -------------------------------------------
     #: Pairs per evaluation chunk (cache blocking of the interaction
     #: kernels); the default fits the workspace in L2/L3 on this host.
     chunk: int = DEFAULT_CHUNK
-    #: Kernel evaluation dtype: "float64", or "float32" (f32 kernels with
-    #: f64 accumulators; bounded by the differential oracle).
-    precision: str = "float64"
     #: Pair-to-target reduction: "segment" (reduceat over target runs,
     #: allocation-free) or "bincount" (legacy length-N scatter).
     scatter: str = "segment"
-    #: Compute backend executing the interaction kernels: "numpy" (the
-    #: bitwise float64 reference), "numba" (fused JIT kernels, optional
-    #: dependency) or "cupy" (GPU scaffold) -- or any name registered
-    #: via :func:`repro.gravity.backends.register_backend`.  Walks and
-    #: interaction counts are backend-independent; see
-    #: docs/PERFORMANCE.md §6.
-    backend: str = "numpy"
     #: Walk all remote boundary/LET structures in one concatenated
     #: forest pass instead of one walk per source.
     batch_sources: bool = True
     #: Seed each step's tree build with the previous step's SFC sort
     #: permutation (verified/repaired instead of a cold argsort).
     sort_reuse: bool = True
-
-    # --- Step-coherence knobs (see docs/PERFORMANCE.md) -----------------
-    #: Cross-step octree reuse: "off" rebuilds cold every step (today's
-    #: behaviour); "repair" diffs the new SFC keys against the cached
-    #: tree and grafts unchanged subtrees
-    #: (:mod:`repro.octree.incremental`).  Bitwise-identical trees
-    #: either way.
-    tree_reuse: str = "off"
-    #: Seed tree walks from the previous step's visit list instead of
-    #: the root (:mod:`repro.gravity.warmstart`).  Forces and
-    #: interaction counts stay bitwise-identical to cold walks.
-    walk_warm_start: bool = False
-    #: LET drain ordering (:data:`LET_DRAIN_MODES`): "incremental"
-    #: walks the boundary batch while LETs are in flight, then drains
-    #: them in rank order -- byte-deterministic *and* bitwise-equal to
-    #: "deterministic" (identical per-source accumulation sequence).
-    let_drain: str = "auto"
 
     # --- Execution substrate --------------------------------------------
     #: SimMPI transport for parallel runs: "threads" (in-process,
@@ -89,6 +57,13 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.force_method not in ("tree", "direct"):
             raise ValueError(f"unknown force_method {self.force_method!r}")
+        # NaN compares False against every bound, so finiteness is
+        # checked first: a NaN theta never accepts a cell and a NaN dt
+        # or softening poisons every position after one step.
+        for name in ("theta", "softening", "dt", "watchdog_grace"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.theta <= 0.0:
             raise ValueError("theta must be positive")
         if self.softening < 0.0:
@@ -101,26 +76,8 @@ class SimulationConfig:
             raise ValueError(f"unknown curve {self.curve!r}")
         if self.chunk < 1:
             raise ValueError("chunk must be >= 1")
-        if self.precision not in PRECISIONS:
-            raise ValueError(f"unknown precision {self.precision!r}")
         if self.scatter not in SCATTER_MODES:
             raise ValueError(f"unknown scatter {self.scatter!r}")
-        if self.precision == "float32" and self.scatter != "segment":
-            raise ValueError("precision='float32' requires scatter='segment'")
-        from .gravity.backends import registered_backends
-        if self.backend not in registered_backends():
-            raise ValueError(f"unknown backend {self.backend!r}; "
-                             f"registered: {registered_backends()}")
-        if self.backend != "numpy" and self.scatter != "segment":
-            raise ValueError(f"backend={self.backend!r} requires "
-                             f"scatter='segment' (bincount is the numpy "
-                             f"reference path)")
-        if self.tree_reuse not in TREE_REUSE_MODES:
-            raise ValueError(f"unknown tree_reuse {self.tree_reuse!r}; "
-                             f"expected one of {TREE_REUSE_MODES}")
-        if self.let_drain not in LET_DRAIN_MODES:
-            raise ValueError(f"unknown let_drain {self.let_drain!r}; "
-                             f"expected one of {LET_DRAIN_MODES}")
         from .simmpi.transport import TRANSPORTS
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}; "

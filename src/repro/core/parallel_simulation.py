@@ -34,8 +34,6 @@ import numpy as np
 from ..config import SimulationConfig
 from ..gravity.flops import InteractionCounts
 from ..gravity.treewalk import KernelWorkspace
-from ..gravity.warmstart import WalkCache
-from ..octree.incremental import TreeCache
 from ..integrator import EnergyDiagnostics
 from ..obs.tracer import Tracer
 from ..particles import ParticleSet
@@ -166,21 +164,9 @@ class ParallelSimulation:
         self._tree_sort_cache = SortCache()
         self._workspace: KernelWorkspace | None = None
         self._keys: np.ndarray | None = None
-        # Resolve the compute backend once per rank (fails fast when the
-        # runtime is missing) and pay any JIT warm-up outside the timed
-        # step phases.
-        from ..gravity.backends import get_backend
-        self._backend = get_backend(self.config.backend)
-        self._backend.warmup(self.config.precision)
-        # Step-coherence state (docs/PERFORMANCE.md): the incremental
-        # octree cache and walk visit-list cache, plus a layout epoch
-        # bumped whenever the local particle set changes (rebalance /
-        # exchange migration) so no cross-step cache -- including the
-        # sort caches' tie-breaking -- can survive a relayout.
-        self._tree_cache = TreeCache() \
-            if self.config.tree_reuse != "off" else None
-        self._walk_cache = WalkCache() \
-            if self.config.walk_warm_start else None
+        # Layout epoch, bumped whenever the local particle set changes
+        # (rebalance / exchange migration) so the sort caches'
+        # duplicate-key tie-breaking cannot survive a relayout.
         self._layout_epoch = 0
 
     # -- observability ----------------------------------------------------
@@ -350,14 +336,10 @@ class ParallelSimulation:
             check=self.invariant_checks, return_keys=True)
         # Layout generation: any change to the local particle sequence
         # (migration in/out, or a reorder the exchange introduced)
-        # invalidates every cross-step cache keyed on the old layout.
-        # The epoch tag makes that invalidation explicit instead of
-        # relying on downstream structural checks alone.
+        # invalidates the sort caches' permutations of the old layout.
         if len(self.particles.ids) != len(old_ids) or \
                 not np.array_equal(self.particles.ids, old_ids):
             self._layout_epoch += 1
-            if self._walk_cache is not None:
-                self._walk_cache.bump_epoch()
         if self.invariant_checks:
             from ..testing.invariants import check_ownership
             keys_after = box.keys(self.particles.pos, self.config.curve)
@@ -383,8 +365,7 @@ class ParallelSimulation:
         (the paper hides it), the rest map one-to-one.
         """
         if self._workspace is None and self.config.scatter == "segment":
-            self._workspace = self._backend.make_workspace(
-                self.config.chunk, self.config.precision)
+            self._workspace = KernelWorkspace(self.config.chunk)
         keys, self._keys = self._keys, None
         result = distributed_forces(
             self.comm, self.particles, self.config, self._box,
@@ -392,10 +373,7 @@ class ParallelSimulation:
             sort_cache=self._tree_sort_cache if self.config.sort_reuse
             else None,
             workspace=self._workspace,
-            sort_epoch=self._layout_epoch,
-            tree_cache=self._tree_cache,
-            walk_cache=self._walk_cache,
-            backend=self._backend)
+            sort_epoch=self._layout_epoch)
         self._acc, self._phi = result.acc, result.phi
         self._result = result
         self.recv_wait_seconds += result.recv_wait_seconds

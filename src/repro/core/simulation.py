@@ -23,8 +23,7 @@ from ..config import SimulationConfig
 from ..gravity import KernelWorkspace, tree_forces
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..integrator import EnergyDiagnostics, system_diagnostics
-from ..octree import build_octree, cached_octree, compute_moments, make_groups
-from ..octree.incremental import TreeCache
+from ..octree import build_octree, compute_moments, make_groups
 from ..particles import ParticleSet
 from ..sfc import BoundingBox, SortCache
 from .step import StepBreakdown
@@ -78,23 +77,6 @@ class Simulation:
         self._phi: np.ndarray | None = None
         self._sort_cache = SortCache()
         self._workspace: KernelWorkspace | None = None
-        # Resolve the compute backend once (fails fast on unavailable
-        # runtimes) and pay any JIT warm-up here, outside every timed
-        # phase.  Ignored by the direct-force oracle path.
-        from ..gravity.backends import get_backend
-        self._backend = get_backend(self.config.backend)
-        self._backend.warmup(self.config.precision)
-        self._backend_attr = {} if self._backend.name == "numpy" \
-            else {"backend": self._backend.name}
-        # Step-coherence: incremental tree repair (docs/PERFORMANCE.md).
-        # The serial driver refits its bounding box from the particles
-        # every step, so the cache usually falls back cold (a box change
-        # relabels every octant); the knob is honoured for parity and
-        # for fixed-box workloads driven through compute_forces.  Walk
-        # warm-starts are a parallel-driver feature: tree_forces owns
-        # its walk and the serial walk has no LET overlap to hide.
-        self._tree_cache = TreeCache() \
-            if self.config.tree_reuse != "off" else None
 
     def _now(self) -> float:
         """Phase clock: the tracer's when tracing (so trace == breakdown)."""
@@ -154,22 +136,11 @@ class Simulation:
             {"sort_mode": self._sort_cache.last_mode}
         self._rec("sorting", t0, t1, **sort_attr)
 
-        tree_attrs = {}
-        if self._tree_cache is not None:
-            tree = cached_octree(self._tree_cache, ps.pos, nleaf=cfg.nleaf,
-                                 curve=cfg.curve, box=box, keys=keys,
-                                 order=order)
-            st = self._tree_cache.last
-            tree_attrs = {"tree_mode": st.mode,
-                          "tree_churn": round(st.churn, 6),
-                          "tree_cells_repaired": st.cells_active,
-                          "tree_cells_grafted": st.cells_grafted}
-        else:
-            tree = build_octree(ps.pos, nleaf=cfg.nleaf, curve=cfg.curve,
-                                box=box, keys=keys, order=order)
+        tree = build_octree(ps.pos, nleaf=cfg.nleaf, curve=cfg.curve,
+                            box=box, keys=keys, order=order)
         t2 = self._now()
         bd.tree_construction += t2 - t1
-        self._rec("tree_construction", t1, t2, **tree_attrs)
+        self._rec("tree_construction", t1, t2)
 
         compute_moments(tree, ps.pos, ps.mass)
         make_groups(tree, cfg.ncrit)
@@ -178,20 +149,17 @@ class Simulation:
         self._rec("tree_properties", t2, t3)
 
         if self._workspace is None and cfg.scatter == "segment":
-            self._workspace = self._backend.make_workspace(cfg.chunk,
-                                                           cfg.precision)
+            self._workspace = KernelWorkspace(cfg.chunk)
         result = tree_forces(tree, ps.pos, ps.mass, theta=cfg.theta,
                              eps=cfg.softening, mac=cfg.mac,
                              quadrupole=cfg.quadrupole,
                              chunk=cfg.chunk, scatter=cfg.scatter,
-                             precision=cfg.precision,
-                             workspace=self._workspace,
-                             backend=self._backend)
+                             workspace=self._workspace)
         t4 = self._now()
         bd.gravity_local += t4 - t3
         self._rec("gravity_local", t3, t4, n_particles=ps.n,
                   n_pp=result.counts.n_pp, n_pc=result.counts.n_pc,
-                  quadrupole=cfg.quadrupole, **self._backend_attr)
+                  quadrupole=cfg.quadrupole)
         bd.counts.add(result.counts)
         bd.counts.quadrupole = cfg.quadrupole
 

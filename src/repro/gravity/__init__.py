@@ -6,19 +6,12 @@ quadrupole corrections, a direct O(N^2) reference solver, and the
 group-centric Barnes-Hut tree walk with interaction-count accounting
 identical to Table II's "Particle-Particle" and "Particle-Cell" rows.
 
-Kernel *execution* is pluggable: :mod:`repro.gravity.backends` registers
-compute backends (numpy reference / numba JIT / cupy scaffold) selected
-via ``SimulationConfig.backend``; walks and counts are backend-free.
+There is one force pipeline: the walk emits (group, cell) pair lists
+and the float64 workspace evaluators in :mod:`repro.gravity.treewalk`
+turn them into accumulated forces, for the local tree and for every
+remote LET alike.
 """
 
-from .backends import (
-    BackendUnavailable,
-    ComputeBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    registered_backends,
-)
 from .flops import (
     FLOPS_PER_PC,
     FLOPS_PER_PP,
@@ -29,7 +22,6 @@ from .kernels import pp_interactions, pc_interactions
 from .direct import direct_forces
 from .treewalk import (
     DEFAULT_CHUNK,
-    PRECISIONS,
     SCATTER_MODES,
     KernelWorkspace,
     SourceView,
@@ -43,7 +35,6 @@ from .forest import (
     split_by_source,
     walk_forest_interaction_lists,
 )
-from .warmstart import WalkCache, structure_levels, warm_walk
 
 __all__ = [
     "FLOPS_PER_PP",
@@ -61,17 +52,7 @@ __all__ = [
     "SourceView",
     "DEFAULT_CHUNK",
     "SCATTER_MODES",
-    "PRECISIONS",
     "SourceForest",
     "walk_forest_interaction_lists",
     "split_by_source",
-    "WalkCache",
-    "warm_walk",
-    "structure_levels",
-    "BackendUnavailable",
-    "ComputeBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "registered_backends",
 ]

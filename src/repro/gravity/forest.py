@@ -103,8 +103,7 @@ class SourceForest:
 
 
 def walk_forest_interaction_lists(forest: SourceForest,
-                                  gmin: np.ndarray, gmax: np.ndarray,
-                                  open_out: list | None = None
+                                  gmin: np.ndarray, gmax: np.ndarray
                                   ) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray, np.ndarray, int]:
     """Walk every source of the forest in one frontier pass.
@@ -119,8 +118,7 @@ def walk_forest_interaction_lists(forest: SourceForest,
     g = np.tile(np.arange(n_groups, dtype=np.int64), forest.n_sources)
     c = np.repeat(forest.cell_offsets[:-1], n_groups)
     return walk_frontier(forest.first_child, forest.n_children,
-                         forest.com, forest.r_crit, gmin, gmax, g, c,
-                         open_out=open_out)
+                         forest.com, forest.r_crit, gmin, gmax, g, c)
 
 
 def split_by_source(forest: SourceForest, pg: np.ndarray, pc: np.ndarray

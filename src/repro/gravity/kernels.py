@@ -25,10 +25,7 @@ Each kernel exists in two forms: the original allocating form
 form (``pp_interactions_ws`` / ``pc_interactions_ws``) whose every ufunc
 writes into caller-provided scratch via ``out=`` so steady-state
 evaluation allocates nothing -- the register-resident evaluation the
-paper credits for its single-GPU efficiency, transposed to numpy.  The
-workspace forms accept float32 buffers (``SimulationConfig.precision``),
-matching the paper's single-precision GPU kernels; accumulation back
-into the per-particle sums stays float64 (see ``treewalk``).
+paper credits for its single-GPU efficiency, transposed to numpy.
 """
 
 from __future__ import annotations
@@ -234,16 +231,30 @@ def pc_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
 
 
 def point_forces_on_targets(targets: np.ndarray, sources: np.ndarray,
-                            source_mass: np.ndarray, eps2: float,
-                            backend="numpy") -> tuple[np.ndarray, np.ndarray]:
+                            source_mass: np.ndarray, eps2: float
+                            ) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs forces of point sources on targets (no self-exclusion).
 
     Dense helper used by tests and the velocity/potential machinery of
-    the initial-condition generator.  Dispatches through the compute
-    backend registry (``backend`` a name or instance, default the NumPy
-    reference whose chunked loop is warning-clean at eps = 0).  Returns
-    (acc (n,3), phi (n,)).
+    the initial-condition generator.  Returns (acc (n,3), phi (n,)).
     """
-    from .backends import get_backend
-    return get_backend(backend).point_forces(targets, sources,
-                                             source_mass, eps2)
+    targets = np.asarray(targets, dtype=np.float64)
+    sources = np.asarray(sources, dtype=np.float64)
+    source_mass = np.asarray(source_mass, dtype=np.float64)
+    acc = np.zeros((len(targets), 3))
+    phi = np.zeros(len(targets))
+    # Chunk over targets to bound the (nt, ns) temporary.
+    chunk = max(1, int(4.0e7 // max(len(sources), 1)))
+    # Coincident target/source at eps = 0 yields inf (the helper does no
+    # self-exclusion); keep that usage warning-clean like the pp kernel.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(0, len(targets), chunk):
+            t = targets[s:s + chunk]
+            d = sources[None, :, :] - t[:, None, :]
+            r2 = np.einsum("ijk,ijk->ij", d, d) + eps2
+            rinv = 1.0 / np.sqrt(r2)
+            mrinv = source_mass[None, :] * rinv
+            mrinv3 = mrinv * rinv * rinv
+            acc[s:s + chunk] = np.einsum("ij,ijk->ik", mrinv3, d)
+            phi[s:s + chunk] = -mrinv.sum(axis=1)
+    return acc, phi

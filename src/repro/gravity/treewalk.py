@@ -24,8 +24,7 @@ Two evaluation strategies are provided (``scatter=``):
     forms, and accumulated with one ``np.add.reduceat`` segment sum per
     output component -- the targets of one chunk are unique, so the
     scatter is a plain fancy-indexed add instead of four length-N
-    ``bincount`` passes per chunk.  Supports float32 evaluation with
-    float64 accumulators.
+    ``bincount`` passes per chunk.
 
 ``"bincount"`` (the pre-optimisation baseline)
     The original allocating evaluators, kept for A/B benchmarking
@@ -33,7 +32,9 @@ Two evaluation strategies are provided (``scatter=``):
     implementation.
 
 Interaction *counts* are identical between the two: they are a property
-of the walk's pair lists, which neither strategy touches.
+of the walk's pair lists, which neither strategy touches.  Both evaluate
+in float64; the public evaluators call the segment kernels directly, so
+the serial driver, the local walk and every LET share one code path.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ DEFAULT_CHUNK = 1 << 15
 #: Evaluation scatter strategies (see module docstring).
 SCATTER_MODES = ("segment", "bincount")
 
-#: Evaluation precisions for the segment path.
-PRECISIONS = ("float64", "float32")
-
 
 @dataclasses.dataclass
 class TreeWalkResult:
@@ -85,29 +83,19 @@ class KernelWorkspace:
     """Preallocated scratch arena for the chunked evaluators.
 
     One workspace serves every chunk of every source a rank evaluates:
-    sixteen kernel buffers in the evaluation dtype, two float64 gather
-    staging buffers, seven int64 index buffers plus a persistent arange,
-    and a bool mask for self-pair exclusion.  ``ensure`` grows the arena
-    when a chunk expands past the current capacity (a pair list's last
-    slice may overshoot ``chunk`` by one pair's expansion) and is a
-    no-op afterwards -- steady-state evaluation performs no allocation.
-
-    ``precision="float32"`` makes the kernel buffers single precision
-    (the paper's GPU kernels); separations are formed from float64
-    inputs and downcast once per gather, and the per-segment partial
-    sums are accumulated into float64 outputs.
+    sixteen float64 kernel buffers, two float64 gather staging buffers,
+    seven int64 index buffers plus a persistent arange, and a bool mask
+    for self-pair exclusion.  ``ensure`` grows the arena when a chunk
+    expands past the current capacity (a pair list's last slice may
+    overshoot ``chunk`` by one pair's expansion) and is a no-op
+    afterwards -- steady-state evaluation performs no allocation.
     """
 
     _F_NAMES = ("dx", "dy", "dz", "m", "q0", "q1", "q2", "q3", "q4", "q5",
                 "r2", "tmp", "trq", "qrx", "qry", "qrz")
     _I_NAMES = ("i1", "i2", "i3", "i4", "i5", "i6", "i7")
 
-    def __init__(self, chunk: int = DEFAULT_CHUNK, precision: str = "float64"):
-        if precision not in PRECISIONS:
-            raise ValueError(f"unknown precision {precision!r}; "
-                             f"expected one of {PRECISIONS}")
-        self.precision = precision
-        self.dtype = np.float32 if precision == "float32" else np.float64
+    def __init__(self, chunk: int = DEFAULT_CHUNK):
         self.chunk = 0
         self.ensure(int(chunk))
 
@@ -117,7 +105,7 @@ class KernelWorkspace:
             return self
         self.chunk = int(chunk)
         for name in self._F_NAMES:
-            setattr(self, name, np.empty(self.chunk, dtype=self.dtype))
+            setattr(self, name, np.empty(self.chunk, dtype=np.float64))
         self.g1 = np.empty(self.chunk, dtype=np.float64)
         self.g2 = np.empty(self.chunk, dtype=np.float64)
         for name in self._I_NAMES:
@@ -129,8 +117,7 @@ class KernelWorkspace:
     @property
     def nbytes(self) -> int:
         """Total arena size (for memory accounting)."""
-        itemsize = 4 if self.precision == "float32" else 8
-        return self.chunk * (16 * itemsize + 2 * 8 + 8 * 8 + 1)
+        return self.chunk * (16 * 8 + 2 * 8 + 8 * 8 + 1)
 
 
 class SourceView:
@@ -193,8 +180,7 @@ def group_aabbs(tree: Octree, spos: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def walk_frontier(first_child: np.ndarray, n_children: np.ndarray,
                   com: np.ndarray, r_crit: np.ndarray,
                   gmin: np.ndarray, gmax: np.ndarray,
-                  g: np.ndarray, c: np.ndarray,
-                  open_out: list | None = None
+                  g: np.ndarray, c: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Drive a (group, cell) frontier to completion.
 
@@ -206,11 +192,6 @@ def walk_frontier(first_child: np.ndarray, n_children: np.ndarray,
     stable sort by source id recovers each source's single-walk pair
     order exactly (the batched-walk equivalence the fast path relies
     on).
-
-    ``open_out``, when given, collects every *opened* (group, cell)
-    visit as ``(og, oc)`` array pairs, one per frontier iteration --
-    together with the pc/pp lists this is the walk's complete visit set,
-    which :mod:`repro.gravity.warmstart` caches to seed the next step.
     """
     pc_g_parts: list[np.ndarray] = []
     pc_c_parts: list[np.ndarray] = []
@@ -236,8 +217,6 @@ def walk_frontier(first_child: np.ndarray, n_children: np.ndarray,
             pp_c_parts.append(c[take_pp])
 
         if open_.any():
-            if open_out is not None:
-                open_out.append((g[open_], c[open_]))
             og = g[open_]
             oc = c[open_]
             nch = n_children[oc]
@@ -255,8 +234,7 @@ def walk_frontier(first_child: np.ndarray, n_children: np.ndarray,
     return cat(pc_g_parts), cat(pc_c_parts), cat(pp_g_parts), cat(pp_c_parts), max_frontier
 
 
-def walk_interaction_lists(source, gmin: np.ndarray, gmax: np.ndarray,
-                           open_out: list | None = None
+def walk_interaction_lists(source, gmin: np.ndarray, gmax: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Walk ``source`` once per target group, building interaction pairs.
 
@@ -283,8 +261,7 @@ def walk_interaction_lists(source, gmin: np.ndarray, gmax: np.ndarray,
     g = np.arange(n_groups, dtype=np.int64)
     c = np.zeros(n_groups, dtype=np.int64)
     return walk_frontier(source.first_child, source.n_children,
-                         source.com, source.r_crit, gmin, gmax, g, c,
-                         open_out=open_out)
+                         source.com, source.r_crit, gmin, gmax, g, c)
 
 
 def _expand_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -401,21 +378,10 @@ def _sort_pairs(pg: np.ndarray, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return pg[order], pc[order]
 
 
-def _gather(col: np.ndarray, idx: np.ndarray, scratch: np.ndarray,
-            out: np.ndarray) -> np.ndarray:
-    """take() into ``out``, staging through float64 scratch when downcasting."""
-    if out.dtype == col.dtype:
-        np.take(col, idx, out=out)
-    else:
-        np.take(col, idx, out=scratch)
-        np.copyto(out, scratch, casting="same_kind")
-    return out
-
-
 def _gather_diff(acol: np.ndarray, aidx: np.ndarray,
                  bcol: np.ndarray, bidx: np.ndarray,
                  g1: np.ndarray, g2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = acol[aidx] - bcol[bidx] without temporaries (downcasts via out=)."""
+    """out = acol[aidx] - bcol[bidx] without temporaries."""
     np.take(acol, aidx, out=g1)
     np.take(bcol, bidx, out=g2)
     np.subtract(g1, g2, out=out)
@@ -537,12 +503,12 @@ def _evaluate_pc_segment(accx, accy, accz, accp,
         _gather_diff(sv.com_x, cell, tx, t, g1, g2, dx)
         _gather_diff(sv.com_y, cell, ty, t, g1, g2, dy)
         _gather_diff(sv.com_z, cell, tz, t, g1, g2, dz)
-        _gather(sv.mass, cell, g1, m)
+        np.take(sv.mass, cell, out=m)
         if quadrupole:
             qb = (ws.q0[:total], ws.q1[:total], ws.q2[:total],
                   ws.q3[:total], ws.q4[:total], ws.q5[:total])
             for col, buf in zip(sv.quad, qb):
-                _gather(col, cell, g1, buf)
+                np.take(col, cell, out=buf)
             ax, ay, az, ph = pc_interactions_ws(
                 dx, dy, dz, m, qb, eps2, ws.r2[:total], ws.tmp[:total],
                 ws.trq[:total], ws.qrx[:total], ws.qry[:total], ws.qrz[:total])
@@ -629,7 +595,7 @@ def _evaluate_pp_segment(accx, accy, accz, accp,
         _gather_diff(sv.sx, s, tx, t, g1, g2, dx)
         _gather_diff(sv.sy, s, ty, t, g1, g2, dy)
         _gather_diff(sv.sz, s, tz, t, g1, g2, dz)
-        _gather(sv.smass, s, g1, m)
+        np.take(sv.smass, s, out=m)
         if exclude_self:
             mask = ws.bmask[:total]
             np.equal(t, s, out=mask)
@@ -647,22 +613,6 @@ def _evaluate_pp_segment(accx, accy, accz, accp,
 # Public evaluators: dispatch on scatter strategy.
 # ---------------------------------------------------------------------------
 
-def _resolve_eval_backend(backend, scatter: str):
-    """Resolve the backend knob for one evaluator call.
-
-    The ``bincount`` reference scatter predates the registry and is
-    numpy-only; any other backend must use the segment path (also
-    enforced by ``SimulationConfig.__post_init__``).
-    """
-    from .backends import NumpyBackend, get_backend
-    be = get_backend(backend)
-    if scatter == "bincount" and not isinstance(be, NumpyBackend):
-        raise ValueError(
-            f"scatter='bincount' is the numpy reference path; "
-            f"backend {be.name!r} requires scatter='segment'")
-    return be
-
-
 def evaluate_pc_pairs(acc: np.ndarray, phi: np.ndarray,
                       tpos: np.ndarray, source,
                       pc_g: np.ndarray, pc_c: np.ndarray,
@@ -673,28 +623,21 @@ def evaluate_pc_pairs(acc: np.ndarray, phi: np.ndarray,
                       scatter: str = "segment",
                       workspace: KernelWorkspace | None = None,
                       sview: SourceView | None = None,
-                      tview=None,
-                      backend="numpy") -> None:
-    """Evaluate particle-cell pairs, accumulating into acc/phi (sorted order).
-
-    ``backend`` is a registered compute-backend name or a resolved
-    :class:`~repro.gravity.backends.ComputeBackend` instance (hot paths
-    resolve once per step and pass the object).
-    """
+                      tview=None) -> None:
+    """Evaluate particle-cell pairs, accumulating into acc/phi (sorted order)."""
     if len(pc_g) == 0:
         return
-    be = _resolve_eval_backend(backend, scatter)
     if scatter == "bincount":
         _evaluate_pc_bincount(acc, phi, tpos, source, pc_g, pc_c,
                               group_first, group_count, eps2, quadrupole,
                               counts, chunk)
         return
-    ws = workspace if workspace is not None else be.make_workspace(chunk)
+    ws = workspace if workspace is not None else KernelWorkspace(chunk)
     sv = sview if sview is not None else SourceView.build(source)
     tv = tview if tview is not None else target_columns(tpos)
-    be.evaluate_pc(acc[:, 0], acc[:, 1], acc[:, 2], phi, tv, sv,
-                   pc_g, pc_c, group_first, group_count, eps2,
-                   quadrupole, counts, chunk, ws)
+    _evaluate_pc_segment(acc[:, 0], acc[:, 1], acc[:, 2], phi, tv, sv,
+                         pc_g, pc_c, group_first, group_count, eps2,
+                         quadrupole, counts, chunk, ws)
 
 
 def evaluate_pp_pairs(acc: np.ndarray, phi: np.ndarray,
@@ -710,24 +653,21 @@ def evaluate_pp_pairs(acc: np.ndarray, phi: np.ndarray,
                       scatter: str = "segment",
                       workspace: KernelWorkspace | None = None,
                       sview: SourceView | None = None,
-                      tview=None,
-                      backend="numpy") -> None:
+                      tview=None) -> None:
     """Evaluate particle-particle (group x leaf) pairs.
 
     ``exclude_self`` zeroes the contribution of identical sorted indices,
     which is required when targets and sources are the same particle set
-    (the group inevitably walks into its own leaves).  ``backend`` as in
-    :func:`evaluate_pc_pairs`.
+    (the group inevitably walks into its own leaves).
     """
     if len(pp_g) == 0:
         return
-    be = _resolve_eval_backend(backend, scatter)
     if scatter == "bincount":
         _evaluate_pp_bincount(acc, phi, tpos, spos, smass, pp_g, pp_c,
                               group_first, group_count, body_first,
                               body_count, eps2, counts, exclude_self, chunk)
         return
-    ws = workspace if workspace is not None else be.make_workspace(chunk)
+    ws = workspace if workspace is not None else KernelWorkspace(chunk)
     if sview is None or sview.sx is None:
         sv = SourceView.__new__(SourceView)
         sv.body_first = np.asarray(body_first, dtype=np.int64)
@@ -739,9 +679,9 @@ def evaluate_pp_pairs(acc: np.ndarray, phi: np.ndarray,
     else:
         sv = sview
     tv = tview if tview is not None else target_columns(tpos)
-    be.evaluate_pp(acc[:, 0], acc[:, 1], acc[:, 2], phi, tv, sv,
-                   pp_g, pp_c, group_first, group_count, eps2,
-                   counts, exclude_self, chunk, ws)
+    _evaluate_pp_segment(acc[:, 0], acc[:, 1], acc[:, 2], phi, tv, sv,
+                         pp_g, pp_c, group_first, group_count, eps2,
+                         counts, exclude_self, chunk, ws)
 
 
 def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
@@ -752,9 +692,7 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
                 source_mass: np.ndarray | None = None,
                 chunk: int = DEFAULT_CHUNK,
                 scatter: str = "segment",
-                precision: str = "float64",
-                workspace: KernelWorkspace | None = None,
-                backend="numpy") -> TreeWalkResult:
+                workspace: KernelWorkspace | None = None) -> TreeWalkResult:
     """Compute gravitational forces on ``tree``'s particles.
 
     When ``source`` is omitted the walk is self-gravity over the local
@@ -773,14 +711,10 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
         Plummer softening length.
     quadrupole:
         Evaluate quadrupole corrections (65-flop kernel) or monopole only.
-    chunk, scatter, precision, workspace:
-        Evaluation strategy knobs (see module docstring).  A provided
-        ``workspace`` overrides ``precision``; reuse one across calls to
-        keep steady-state evaluation allocation-free.
-    backend:
-        Compute-backend name or instance executing the kernels
-        (:mod:`repro.gravity.backends`); the walk, the pair lists and
-        the interaction counts are backend-independent.
+    chunk, scatter, workspace:
+        Evaluation strategy knobs (see module docstring).  Reuse one
+        ``workspace`` across calls to keep steady-state evaluation
+        allocation-free.
 
     Returns
     -------
@@ -822,10 +756,8 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
     counts = InteractionCounts(quadrupole=quadrupole)
     eps2 = float(eps) * float(eps)
 
-    be = _resolve_eval_backend(backend, scatter)
     if scatter == "segment":
-        ws = workspace if workspace is not None \
-            else be.make_workspace(chunk, precision)
+        ws = workspace if workspace is not None else KernelWorkspace(chunk)
         sv = SourceView.build(source, src_pos_sorted, src_mass_sorted)
         tv = (sv.sx, sv.sy, sv.sz) if self_gravity else target_columns(tpos)
     else:
@@ -834,14 +766,13 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
     evaluate_pc_pairs(acc_sorted, phi_sorted, tpos, source, pc_g, pc_c,
                       tree.group_first, tree.group_count, eps2, quadrupole,
                       counts, chunk, scatter=scatter, workspace=ws,
-                      sview=sv, tview=tv, backend=be)
+                      sview=sv, tview=tv)
     evaluate_pp_pairs(acc_sorted, phi_sorted, tpos, src_pos_sorted,
                       src_mass_sorted, pp_g, pp_c,
                       tree.group_first, tree.group_count,
                       source.body_first, source.body_count, eps2,
                       counts, exclude_self=self_gravity, chunk=chunk,
-                      scatter=scatter, workspace=ws, sview=sv, tview=tv,
-                      backend=be)
+                      scatter=scatter, workspace=ws, sview=sv, tview=tv)
 
     # Scatter back to the original particle order.
     acc = np.empty_like(acc_sorted)

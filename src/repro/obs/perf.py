@@ -67,9 +67,6 @@ def perf_from_trace(doc: dict, variant: str = "tuned") -> dict[str, Any] | None:
 
     # (rank, phase) -> [seconds, n_pp, n_pc]
     rank_phase: dict[tuple[int, str], list] = {}
-    # backend name -> [seconds, n_pp, n_pc]; spans without a ``backend``
-    # attribute are the numpy default (non-default backends stamp it).
-    backend_acc: dict[str, list] = {}
     # step -> rank -> seconds (gravity phases / all Table II phases)
     step_gravity: dict[int, dict[int, float]] = defaultdict(
         lambda: defaultdict(float))
@@ -104,11 +101,6 @@ def perf_from_trace(doc: dict, variant: str = "tuned") -> dict[str, Any] | None:
         c = step_counts[step]
         c[0] += int(args.get("n_pp", 0))
         c[1] += int(args.get("n_pc", 0))
-        brec = backend_acc.setdefault(str(args.get("backend", "numpy")),
-                                      [0.0, 0, 0])
-        brec[0] += dur
-        brec[1] += int(args.get("n_pp", 0))
-        brec[2] += int(args.get("n_pc", 0))
 
     if not saw_counts:
         return None
@@ -178,14 +170,6 @@ def perf_from_trace(doc: dict, variant: str = "tuned") -> dict[str, Any] | None:
         n_pp_total += n_pp
         n_pc_total += n_pc
 
-    # -- per-backend achieved rates (all ranks, both gravity phases) ------
-    backends: dict[str, dict[str, Any]] = {}
-    for name in sorted(backend_acc):
-        sec, n_pp, n_pc = backend_acc[name]
-        fl = flops_of(n_pp, n_pc)
-        backends[name] = {"seconds": sec, "n_pp": n_pp, "n_pc": n_pc,
-                          "flops": fl, "gflops": _rate_gflops(fl, sec)}
-
     # -- sustained rates and model efficiency -----------------------------
     kernel_gflops = _rate_gflops(total_flops, kernel_seconds)
     application_gflops = _rate_gflops(total_flops, wall_seconds)
@@ -195,7 +179,6 @@ def perf_from_trace(doc: dict, variant: str = "tuned") -> dict[str, Any] | None:
                    "quadrupole": quadrupole, "flops": total_flops,
                    "flops_per_pp": FLOPS_PER_PP, "flops_per_pc": per_pc},
         "per_rank": per_rank,
-        "backends": backends,
         "timeline": timeline,
         "model": {"variant": variant, "rpp_gflops": rates.rpp_gflops,
                   "rpc_gflops": rates.rpc_gflops, "mix_gflops": mix},
@@ -247,11 +230,6 @@ def perf_lines(perf: dict[str, Any]) -> list[str]:
                  f" / pc {m['rpc_gflops']:.0f} Gflops, {mix} at this mix;"
                  f" efficiency kernel {_fmt_eff(e['kernel'])}"
                  f" application {_fmt_eff(e['application'])}")
-    for name in sorted(perf.get("backends", ())):
-        b = perf["backends"][name]
-        lines.append(f"  backend {name}: {_fmt_rate(b['gflops']).strip()}"
-                     f" Gflops over {b['seconds']:.6f} s"
-                     f" ({b['n_pp']} pp + {b['n_pc']} pc)")
     lines.append(f"  {'rank':>6s} {'local':>11s} {'let':>11s} "
                  f"{'combined':>11s} {'model-eff':>10s}   [Gflops]")
     for rank in sorted(perf["per_rank"], key=int):

@@ -24,17 +24,11 @@ when the communicator's world carries an enabled tracer
 counters attached, using the *same* clock readings -- so the trace and
 the driver's :class:`~repro.core.step.StepBreakdown` agree exactly.
 
-Step coherence (see docs/PERFORMANCE.md): with ``config.tree_reuse=
-"repair"`` the local tree is built through a :class:`~repro.octree.incremental.TreeCache`
-(diff + graft instead of a cold rebuild), with ``config.walk_warm_start``
-every walk is seeded from the previous step's visit list through a
-:class:`~repro.gravity.warmstart.WalkCache`, and ``config.let_drain``
-selects the LET consumption order -- ``"incremental"`` walks the
-boundary batch while LETs are still in flight, then drains them in rank
-order, which is byte-deterministic *and* bitwise-equal to
-``"deterministic"`` (identical per-source accumulation sequence).
-Forces and interaction counts are bitwise-identical across every knob
-setting; only the wall-clock split between phases changes.
+Every rank builds its tree cold each step and walks every source from
+the root; all evaluation runs through the float64 workspace evaluators
+of :mod:`repro.gravity.treewalk`.  Full LETs are drained in rank order
+under a deterministic tracer (so traced runs replay byte-identically)
+and in arrival order otherwise.
 """
 
 from __future__ import annotations
@@ -60,15 +54,7 @@ from ..gravity.treewalk import (
     target_columns,
     walk_interaction_lists,
 )
-from ..gravity.warmstart import (
-    KIND_OPEN,
-    KIND_PC,
-    KIND_PP,
-    WalkCache,
-    warm_walk,
-)
-from ..octree import Octree, build_octree, cached_octree, compute_moments, compute_opening_radii, make_groups
-from ..octree.incremental import TreeCache
+from ..octree import Octree, build_octree, compute_moments, compute_opening_radii, make_groups
 from ..particles import ParticleSet
 from ..sfc import BoundingBox, SortCache
 from ..simmpi import SimComm
@@ -138,9 +124,6 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
                        sort_cache: SortCache | None = None,
                        workspace: KernelWorkspace | None = None,
                        sort_epoch: int | None = None,
-                       tree_cache: TreeCache | None = None,
-                       walk_cache: WalkCache | None = None,
-                       backend=None,
                        ) -> DistributedForceResult:
     """Compute gravitational forces on this rank's particles.
 
@@ -155,18 +138,9 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
     :class:`KernelWorkspace` so steady-state evaluation allocates
     nothing (one is created locally when absent).
 
-    ``backend`` is a resolved compute-backend instance (or a registered
-    name; ``None`` resolves ``config.backend``) executing the
-    interaction kernels -- walks, pair lists and interaction counts are
-    backend-independent, so the cross-rank reduction is unchanged.
-
     ``sort_epoch`` is the driver's layout generation tag: passing a new
     value drops the sort cache's permutation so it never repairs across
-    a particle relayout.  ``tree_cache`` (used when ``config.tree_reuse
-    == "repair"``) and ``walk_cache`` (used when
-    ``config.walk_warm_start``) carry the previous step's tree and walk
-    visit lists; every reuse path returns forces and interaction counts
-    bitwise-identical to the cold path.
+    a particle relayout.
 
     Returns accelerations/potentials in this rank's particle order.
     """
@@ -200,27 +174,11 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
     order = None
     if config.sort_reuse and sort_cache is not None:
         order = sort_cache.order_for(keys, epoch=sort_epoch)
-    tree_attrs = {}
-    if config.tree_reuse == "repair" and tree_cache is not None:
-        tree = cached_octree(tree_cache, particles.pos, nleaf=config.nleaf,
-                             curve=config.curve, box=global_box, keys=keys,
-                             order=order)
-        st = tree_cache.last
-        tree_attrs = {"tree_mode": st.mode, "tree_churn": round(st.churn, 6),
-                      "tree_cells_repaired": st.cells_active,
-                      "tree_cells_grafted": st.cells_grafted}
-    else:
-        tree = build_octree(particles.pos, nleaf=config.nleaf,
-                            curve=config.curve, box=global_box, keys=keys,
-                            order=order)
+    tree = build_octree(particles.pos, nleaf=config.nleaf,
+                        curve=config.curve, box=global_box, keys=keys,
+                        order=order)
     sort_attr = {} if order is None else {"sort_mode": sort_cache.last_mode}
-    t1 = now()
-    rec("tree_construction", t0, t1, **sort_attr, **tree_attrs)
-    if tree_attrs and tr.enabled:
-        # A dedicated repair span (cat="tree" keeps it out of the phase
-        # accounting) so trace consumers can chart reuse effectiveness.
-        tr.record("tree_repair", rank, t0, t1, cat="tree", **step_arg,
-                  **tree_attrs)
+    rec("tree_construction", t0, now(), **sort_attr)
 
     t0 = now()
     compute_moments(tree, particles.pos, particles.mass)
@@ -267,34 +225,21 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
     counts_let = InteractionCounts(quadrupole=config.quadrupole)
     gmin, gmax = group_aabbs(tree, spos)
 
-    from ..gravity.backends import get_backend
-    be = get_backend(backend if backend is not None else config.backend)
-    # Telemetry: non-default backends stamp their gravity spans (the
-    # default stays unstamped so numpy traces are byte-identical to the
-    # pre-registry era; perf_from_trace reads absence as "numpy").
-    bk_attr = {} if be.name == "numpy" else {"backend": be.name}
     segment = config.scatter == "segment"
     ws = None
     tview = None
     if segment:
-        ws = workspace if workspace is not None else be.make_workspace(
-            config.chunk, config.precision)
+        ws = workspace if workspace is not None \
+            else KernelWorkspace(config.chunk)
         ws.ensure(config.chunk)
         tview = target_columns(spos)
     eval_kw = dict(chunk=config.chunk, scatter=config.scatter,
-                   workspace=ws, tview=tview, backend=be)
+                   workspace=ws, tview=tview)
     max_frontier = 0
-    wcache = walk_cache if config.walk_warm_start else None
-    if wcache is not None:
-        wcache.begin_step(tree.group_first, tree.group_count)
 
     # Local tree first (the GPU starts on local work while LETs arrive).
     t0 = now()
-    if wcache is not None:
-        pc_g, pc_c, pp_g, pp_c, mf, _ = warm_walk(wcache, "local", tree,
-                                                  gmin, gmax)
-    else:
-        pc_g, pc_c, pp_g, pp_c, mf = walk_interaction_lists(tree, gmin, gmax)
+    pc_g, pc_c, pp_g, pp_c, mf = walk_interaction_lists(tree, gmin, gmax)
     max_frontier = max(max_frontier, mf)
     lview = SourceView.build(tree, spos=spos, smass=smass) if segment else None
     evaluate_pc_pairs(acc_sorted, phi_sorted, spos, tree, pc_g, pc_c,
@@ -306,18 +251,13 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
                       exclude_self=True, sview=lview, **eval_kw)
     rec("gravity_local", t0, now(), n_particles=n,
         n_pp=counts_local.n_pp, n_pc=counts_local.n_pc,
-        quadrupole=config.quadrupole, **bk_attr)
+        quadrupole=config.quadrupole)
 
-    def walk_remote(source, src_rank: int, kind: str) -> None:
+    def walk_remote(source, src_rank: int) -> None:
         nonlocal max_frontier
         pp0, pc0 = counts_let.n_pp, counts_let.n_pc
         t0 = now()
-        if wcache is not None:
-            pg1, pcl1, pg2, pcl2, mf, _ = warm_walk(
-                wcache, (kind, src_rank), source, gmin, gmax)
-        else:
-            pg1, pcl1, pg2, pcl2, mf = walk_interaction_lists(
-                source, gmin, gmax)
+        pg1, pcl1, pg2, pcl2, mf = walk_interaction_lists(source, gmin, gmax)
         max_frontier = max(max_frontier, mf)
         sview = (SourceView.build(source, spos=source.part_pos,
                                   smass=source.part_mass)
@@ -333,130 +273,55 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
                           counts_let, exclude_self=False, sview=sview,
                           **eval_kw)
         rec("gravity_let", t0, now(), src=src_rank,
-            n_pp=counts_let.n_pp - pp0, n_pc=counts_let.n_pc - pc0,
-            **bk_attr)
+            n_pp=counts_let.n_pp - pp0, n_pc=counts_let.n_pc - pc0)
 
     def walk_batch(entries: list) -> None:
         # One frontier pass over every source in the batch (``entries``
-        # is a list of ``(source, rank, kind)`` triples).  Each source's
-        # pair segment is then evaluated separately, in batch order,
-        # with a fresh chunk layout -- accumulation order, and hence
-        # float64 bitwise results, match the per-source path.
+        # is a list of ``(source, rank)`` pairs).  Each source's pair
+        # segment is then evaluated separately, in batch order, with a
+        # fresh chunk layout -- accumulation order, and hence float64
+        # bitwise results, match the per-source path.
         nonlocal max_frontier
         pp0, pc0 = counts_let.n_pp, counts_let.n_pc
         t0 = now()
-        if wcache is None:
-            forest = SourceForest.concatenate([e[0] for e in entries],
-                                              [e[1] for e in entries])
-            fpc_g, fpc_c, fpp_g, fpp_c, mf = walk_forest_interaction_lists(
-                forest, gmin, gmax)
-            max_frontier = max(max_frontier, mf)
-            pc_gs, pc_cs, pc_starts = split_by_source(forest, fpc_g, fpc_c)
-            pp_gs, pp_cs, pp_starts = split_by_source(forest, fpp_g, fpp_c)
-            sview = (SourceView.build(forest, spos=forest.part_pos,
-                                      smass=forest.part_mass)
-                     if segment else None)
-            for i in range(forest.n_sources):
-                a, b = pc_starts[i], pc_starts[i + 1]
-                evaluate_pc_pairs(acc_sorted, phi_sorted, spos, forest,
-                                  pc_gs[a:b], pc_cs[a:b],
-                                  tree.group_first, tree.group_count, eps2,
-                                  config.quadrupole, counts_let, sview=sview,
-                                  **eval_kw)
-                a, b = pp_starts[i], pp_starts[i + 1]
-                evaluate_pp_pairs(acc_sorted, phi_sorted, spos,
-                                  forest.part_pos, forest.part_mass,
-                                  pp_gs[a:b], pp_cs[a:b],
-                                  tree.group_first, tree.group_count,
-                                  forest.body_first, forest.body_count, eps2,
-                                  counts_let, exclude_self=False, sview=sview,
-                                  **eval_kw)
-        else:
-            # Warm-aware batch: sources with a valid cached visit list
-            # retest instead of walking; the misses are concatenated
-            # into a sub-forest and walked in one pass (with the opened
-            # visits collected so next step they hit).  Evaluation runs
-            # in original batch order either way, per source, against
-            # the source's own arrays -- bitwise the values the forest
-            # slices hold, in the same accumulation order.
-            lists: list = [None] * len(entries)
-            hit = [wcache.has((k, r), s) for (s, r, k) in entries]
-            for i, (s, r, k) in enumerate(entries):
-                if hit[i]:
-                    pg1, pcl1, pg2, pcl2, mf, _ = warm_walk(
-                        wcache, (k, r), s, gmin, gmax)
-                    max_frontier = max(max_frontier, mf)
-                    lists[i] = (pg1, pcl1, pg2, pcl2)
-            miss = [i for i in range(len(entries)) if not hit[i]]
-            if miss:
-                sub = SourceForest.concatenate(
-                    [entries[i][0] for i in miss],
-                    [entries[i][1] for i in miss])
-                opened: list = []
-                fpc_g, fpc_c, fpp_g, fpp_c, mf = \
-                    walk_forest_interaction_lists(sub, gmin, gmax,
-                                                  open_out=opened)
-                max_frontier = max(max_frontier, mf)
-                e0 = np.empty(0, dtype=np.int64)
-                og = np.concatenate([p[0] for p in opened]) if opened else e0
-                oc = np.concatenate([p[1] for p in opened]) if opened else e0
-                pc_gs, pc_cs, pc_starts = split_by_source(sub, fpc_g, fpc_c)
-                pp_gs, pp_cs, pp_starts = split_by_source(sub, fpp_g, fpp_c)
-                op_gs, op_cs, op_starts = split_by_source(sub, og, oc)
-                for j, i in enumerate(miss):
-                    s, r, k = entries[i]
-                    off = int(sub.cell_offsets[j])
-                    a, b = pc_starts[j], pc_starts[j + 1]
-                    lpc_g, lpc_c = pc_gs[a:b], pc_cs[a:b] - off
-                    a, b = pp_starts[j], pp_starts[j + 1]
-                    lpp_g, lpp_c = pp_gs[a:b], pp_cs[a:b] - off
-                    a, b = op_starts[j], op_starts[j + 1]
-                    lop_g, lop_c = op_gs[a:b], op_cs[a:b] - off
-                    key = (k, r)
-                    level = wcache.entry_levels(key, s)
-                    wcache.store(key, s, level,
-                                 [(lpc_g, lpc_c, KIND_PC),
-                                  (lpp_g, lpp_c, KIND_PP),
-                                  (lop_g, lop_c, KIND_OPEN)])
-                    wcache.misses += 1
-                    lists[i] = (lpc_g, lpc_c, lpp_g, lpp_c)
-            for i, (s, r, k) in enumerate(entries):
-                pg1, pcl1, pg2, pcl2 = lists[i]
-                sview = (SourceView.build(s, spos=s.part_pos,
-                                          smass=s.part_mass)
-                         if segment else None)
-                evaluate_pc_pairs(acc_sorted, phi_sorted, spos, s,
-                                  pg1, pcl1,
-                                  tree.group_first, tree.group_count, eps2,
-                                  config.quadrupole, counts_let, sview=sview,
-                                  **eval_kw)
-                evaluate_pp_pairs(acc_sorted, phi_sorted, spos,
-                                  s.part_pos, s.part_mass, pg2, pcl2,
-                                  tree.group_first, tree.group_count,
-                                  s.body_first, s.body_count, eps2,
-                                  counts_let, exclude_self=False, sview=sview,
-                                  **eval_kw)
+        forest = SourceForest.concatenate([e[0] for e in entries],
+                                          [e[1] for e in entries])
+        fpc_g, fpc_c, fpp_g, fpp_c, mf = walk_forest_interaction_lists(
+            forest, gmin, gmax)
+        max_frontier = max(max_frontier, mf)
+        pc_gs, pc_cs, pc_starts = split_by_source(forest, fpc_g, fpc_c)
+        pp_gs, pp_cs, pp_starts = split_by_source(forest, fpp_g, fpp_c)
+        sview = (SourceView.build(forest, spos=forest.part_pos,
+                                  smass=forest.part_mass)
+                 if segment else None)
+        for i in range(forest.n_sources):
+            a, b = pc_starts[i], pc_starts[i + 1]
+            evaluate_pc_pairs(acc_sorted, phi_sorted, spos, forest,
+                              pc_gs[a:b], pc_cs[a:b],
+                              tree.group_first, tree.group_count, eps2,
+                              config.quadrupole, counts_let, sview=sview,
+                              **eval_kw)
+            a, b = pp_starts[i], pp_starts[i + 1]
+            evaluate_pp_pairs(acc_sorted, phi_sorted, spos,
+                              forest.part_pos, forest.part_mass,
+                              pp_gs[a:b], pp_cs[a:b],
+                              tree.group_first, tree.group_count,
+                              forest.body_first, forest.body_count, eps2,
+                              counts_let, exclude_self=False, sview=sview,
+                              **eval_kw)
         rec("gravity_let", t0, now(), n_src=len(entries),
-            n_pp=counts_let.n_pp - pp0, n_pc=counts_let.n_pc - pc0,
-            **bk_attr)
+            n_pp=counts_let.n_pp - pp0, n_pc=counts_let.n_pc - pc0)
 
     # Remote contributions.  Sufficient boundaries are available now;
     # full LETs from near neighbours are processed *as they arrive*
     # (Sec. III-B2: the driver thread feeds whichever LET is ready to
     # the GPU).  Only time spent blocked with nothing to process counts
-    # as non-hidden communication.  ``config.let_drain`` picks the
-    # consumption order: "deterministic" drains every LET (rank order,
-    # blocking) before one combined walk; "incremental" walks the
-    # boundary batch immediately -- overlapping the in-flight LET
-    # sends -- then drains LETs in rank order, each as its own batch
-    # (bitwise-equal: the per-source accumulation sequence is
-    # identical); "opportunistic" consumes whichever LET is ready
-    # (arrival-order race, fastest on real transports).  "auto" maps to
-    # "deterministic" under a deterministic tracer (so traced runs
-    # replay identically) and "opportunistic" otherwise.
-    drain = config.let_drain
-    if drain == "auto":
-        drain = "deterministic" if tr.deterministic else "opportunistic"
+    # as non-hidden communication.  Under a deterministic tracer every
+    # LET is drained in rank order (blocking) before one combined walk,
+    # so traced runs replay identically; otherwise whichever LET is
+    # ready is consumed first (arrival order, fastest on real
+    # transports).
+    in_rank_order = tr.deterministic
     sufficient = [r for r in range(comm.size)
                   if r != comm.rank and r not in need_full_from]
     n_received = 0
@@ -464,37 +329,27 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
     if config.batch_sources:
         # Batched fast path: every drain of available structures is one
         # forest walk instead of one walk per source.
-        batch = [(boundaries[r], r, "b") for r in sufficient]
-        if drain == "deterministic":
+        batch = [(boundaries[r], r) for r in sufficient]
+        if in_rank_order:
             for r in pending:
                 t0 = now()
                 let: LETData = _recv_let(comm, r)
                 rec("non_hidden_comm", t0, now(), src=r)
-                batch.append((let, r, "let"))
+                batch.append((let, r))
                 n_received += 1
             pending = []
             if batch:
                 walk_batch(batch)
-        elif drain == "incremental":
-            if batch:
-                walk_batch(batch)
-            for r in pending:
-                t0 = now()
-                let = _recv_let(comm, r)
-                rec("non_hidden_comm", t0, now(), src=r)
-                n_received += 1
-                walk_batch([(let, r, "let")])
-            pending = []
         else:
             while True:
                 for r in [r for r in pending if comm.iprobe(r, TAG_LET)]:
-                    batch.append((_recv_let(comm, r), r, "let"))
+                    batch.append((_recv_let(comm, r), r))
                     pending.remove(r)
                     n_received += 1
                 if not batch and pending:
                     r = pending.pop(0)
                     t0 = now()
-                    batch.append((_recv_let(comm, r), r, "let"))
+                    batch.append((_recv_let(comm, r), r))
                     rec("non_hidden_comm", t0, now(), src=r)
                     n_received += 1
                 if batch:
@@ -503,17 +358,15 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
                 if not pending:
                     break
     else:
-        # Reference per-source path: one walk per remote structure
-        # ("incremental" and "deterministic" coincide here: both are a
-        # rank-order blocking drain).
+        # Reference per-source path: one walk per remote structure.
         for r in sufficient:
-            walk_remote(boundaries[r], r, "b")
+            walk_remote(boundaries[r], r)
         while pending:
-            if drain == "opportunistic":
+            if in_rank_order:
+                ready = None
+            else:
                 ready = next((r for r in pending if comm.iprobe(r, TAG_LET)),
                              None)
-            else:
-                ready = None
             if ready is None:
                 ready = pending[0]
                 t0 = now()
@@ -523,7 +376,7 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
                 let = _recv_let(comm, ready)
             pending.remove(ready)
             n_received += 1
-            walk_remote(let, ready, "let")
+            walk_remote(let, ready)
 
     acc = np.empty_like(acc_sorted)
     phi = np.empty_like(phi_sorted)
@@ -553,18 +406,6 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
               "Peak (group, cell) frontier width over this rank's tree "
               "walks in the latest force computation",
               labelnames=("rank",)).set(max_frontier, rank=rank)
-    if config.tree_reuse == "repair" and tree_cache is not None \
-            and tree_cache.last is not None:
-        reg.gauge("tree_cells_repaired",
-                  "Cells the incremental tree updater rebuilt (vs "
-                  "grafted) in the latest force computation",
-                  labelnames=("rank",)).set(
-            tree_cache.last.cells_active, rank=rank)
-    if wcache is not None:
-        reg.counter("walk_cache_hits_total",
-                    "Cached walk decisions reused by warm-started "
-                    "tree walks",
-                    labelnames=("rank",)).inc(wcache.last_hits, rank=rank)
 
     return DistributedForceResult(
         acc=acc, phi=phi,

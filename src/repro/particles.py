@@ -57,6 +57,12 @@ class ParticleSet:
             raise ValueError(
                 f"inconsistent shapes: pos {self.pos.shape}, vel {self.vel.shape}, "
                 f"mass ({n},)")
+        for name in ("pos", "vel", "mass"):
+            arr = getattr(self, name)
+            if not np.isfinite(arr).all():
+                bad = ~np.isfinite(arr.reshape(n, -1)).all(axis=1)
+                raise ValueError(f"{name} is non-finite at particle index "
+                                 f"{int(np.argmax(bad))}")
         if self.ids is None:
             self.ids = np.arange(n, dtype=np.int64)
         else:

@@ -1,12 +1,11 @@
 """Fast-path force pipeline equivalence: batched forest walks, segment
-scatter, float32 evaluation and the sort cache.
+scatter and the sort cache.
 
 The tentpole invariant: every fast-path knob is a pure optimisation.
-In float64 the batched multi-source walk must produce *byte-identical*
-interaction counts and *bitwise-equal* forces to the reference
-one-walk-per-source path (under the deterministic tracer, which fixes
-LET arrival order for both); float32 is bounded by the theta-scaled
-differential envelope.
+The batched multi-source walk must produce *byte-identical* interaction
+counts and *bitwise-equal* forces to the reference one-walk-per-source
+path (under the deterministic tracer, which fixes LET arrival order for
+both).
 """
 
 import numpy as np
@@ -33,7 +32,6 @@ from repro.octree import (
 from repro.parallel import boundary_structure
 from repro.sfc import BoundingBox
 from repro.simmpi import SimWorld, spmd_run
-from repro.testing.differential import max_rel_difference
 
 N = 1024
 
@@ -110,18 +108,6 @@ def test_segment_scatter_matches_bincount_counts_exactly():
     assert seg[2] == binc[2]
     # Different summation order: equal to tight tolerance, not bitwise.
     np.testing.assert_allclose(seg[0], binc[0], rtol=1e-12, atol=1e-13)
-
-
-def test_float32_bounded_by_theta_envelope():
-    particles = plummer_model(N, seed=14)
-    cfg64 = _cfg(precision="float64")
-    cfg32 = _cfg(precision="float32")
-    a64, _, c64, _ = _forces(particles, cfg64, 4)
-    a32, _, c32, _ = _forces(particles, cfg32, 4)
-    assert c32 == c64            # precision never changes the walk
-    # f32 kernel round-off is orders below the tree's own MAC error;
-    # the differential harness's worst-particle envelope bounds it.
-    assert max_rel_difference(a32, a64) < 0.3 * cfg64.theta ** 2
 
 
 def test_sort_reuse_off_matches_on():
@@ -215,101 +201,22 @@ def test_serial_segment_matches_bincount():
 
 
 def test_config_validates_fast_path_knobs():
-    with pytest.raises(ValueError):
-        SimulationConfig(scatter="nope")
-    with pytest.raises(ValueError):
-        SimulationConfig(precision="float16")
-    with pytest.raises(ValueError):
-        SimulationConfig(precision="float32", scatter="bincount")
-    with pytest.raises(ValueError):
-        SimulationConfig(chunk=0)
-    with pytest.raises(ValueError):
-        SimulationConfig(tree_reuse="rebuildish")
-    with pytest.raises(ValueError):
-        SimulationConfig(let_drain="eventually")
+    nan = float("nan")
+    for kw in (dict(scatter="nope"), dict(chunk=0),
+               # NaN passes every "<= 0" bound check, so each float
+               # knob must be rejected as non-finite explicitly.
+               dict(theta=nan), dict(dt=nan), dict(softening=nan),
+               dict(watchdog_grace=nan)):
+        with pytest.raises(ValueError):
+            SimulationConfig(**kw)
 
 
-# -- step coherence: tree reuse, walk warm-starts, incremental drain ------
-#
-# Every knob below is a pure optimisation: float64 forces and the
-# n_pp/n_pc interaction counts must be *bitwise identical* to the
-# knob-off run, at every rank count, on every transport.  The reuse
-# paths only engage when they can prove equivalence (structural
-# fingerprints, churn thresholds) -- when they cannot, they fall back
-# cold, and these comparisons hold either way.
-
-COHERENT = dict(tree_reuse="repair", walk_warm_start=True,
-                let_drain="incremental")
-
-
-@pytest.mark.parametrize("n_ranks", [1, 2, 4, 8])
-def test_warm_start_bitwise_matches_cold(n_ranks):
-    particles = plummer_model(N, seed=21)
-    ref = _forces(particles, _cfg(), n_ranks, steps=2,
-                  load_balance="measured")
-    warm = _forces(particles, _cfg(walk_warm_start=True), n_ranks,
-                   steps=2, load_balance="measured")
-    assert warm[2] == ref[2]                      # counts byte-identical
-    assert warm[0].tobytes() == ref[0].tobytes()  # forces bitwise equal
-    assert warm[1].tobytes() == ref[1].tobytes()
-
-
-@pytest.mark.parametrize("n_ranks", [1, 2, 4])
-def test_tree_reuse_bitwise_matches_cold(n_ranks):
-    particles = plummer_model(N, seed=22)
-    ref = _forces(particles, _cfg(), n_ranks, steps=2,
-                  load_balance="measured")
-    reuse = _forces(particles, _cfg(tree_reuse="repair"), n_ranks,
-                    steps=2, load_balance="measured")
-    assert reuse[2] == ref[2]
-    assert reuse[0].tobytes() == ref[0].tobytes()
-    assert reuse[1].tobytes() == ref[1].tobytes()
-
-
-@pytest.mark.parametrize("n_ranks", [2, 4])
-def test_all_coherence_knobs_bitwise(n_ranks):
-    particles = plummer_model(N, seed=23)
-    ref = _forces(particles, _cfg(), n_ranks, steps=2,
-                  load_balance="measured")
-    on = _forces(particles, _cfg(**COHERENT), n_ranks, steps=2,
-                 load_balance="measured")
-    assert on[2] == ref[2]
-    assert on[0].tobytes() == ref[0].tobytes()
-    assert on[1].tobytes() == ref[1].tobytes()
-
-
-def test_incremental_drain_bitwise_matches_deterministic():
-    # The incremental drain overlaps the boundary-batch walk with
-    # in-flight LET sends but consumes LETs in the same rank order as
-    # the deterministic drain: identical accumulation sequence.
-    particles = plummer_model(N, seed=24)
-    det = _forces(particles, _cfg(let_drain="deterministic"), 4, steps=1)
-    inc = _forces(particles, _cfg(let_drain="incremental"), 4, steps=1)
-    assert inc[2] == det[2]
-    assert inc[0].tobytes() == det[0].tobytes()
-    assert inc[1].tobytes() == det[1].tobytes()
-
-
-def test_coherence_knobs_bitwise_under_flops_rebalance():
-    # Stale-cache regression: "flops" load balance refits the box and
-    # re-cuts the domain every step, migrating particles between ranks.
-    # Epoch tags + structural fingerprints must force every cache cold
-    # across each relayout -- results stay bitwise equal to knob-off.
-    particles = plummer_model(N, seed=25)
-    ref = _forces(particles, _cfg(), 4, steps=3, load_balance="flops")
-    on = _forces(particles, _cfg(**COHERENT), 4, steps=3,
-                 load_balance="flops")
-    assert on[2] == ref[2]
-    assert on[0].tobytes() == ref[0].tobytes()
-
-
-def test_coherence_knobs_bitwise_under_forced_rebalance():
-    # Measured LB with trigger ratio 1.0 rebalances on every step: the
-    # adversarial case for warm-start/sort-cache entries surviving an
-    # exchange.  The layout epoch must invalidate them.  Cut weights
-    # come from interaction counts (lb_source="counts"): wall-derived
-    # weights would legitimately shift the cuts when reuse changes the
-    # phase timings, which is a decomposition change, not staleness.
+def test_sort_reuse_bitwise_under_forced_rebalance():
+    # Measured LB with trigger ratio 1.0 rebalances on every step, the
+    # adversarial case for a sort permutation surviving an exchange: the
+    # layout epoch must drop it, so reused sorts stay bitwise equal to
+    # cold ones.  Cut weights come from interaction counts
+    # (lb_source="counts") so the decomposition is timing-independent.
     particles = plummer_model(N, seed=26)
 
     def run(config):
@@ -336,136 +243,7 @@ def test_coherence_knobs_bitwise_under_forced_rebalance():
         bumps = sum(r[2] for r in results)
         return acc, bumps
 
-    acc_ref, _ = run(_cfg())
-    acc_on, bumps = run(_cfg(**COHERENT))
+    acc_ref, _ = run(_cfg(sort_reuse=False))
+    acc_on, bumps = run(_cfg(sort_reuse=True))
     assert bumps > 0      # the hazard was actually exercised
     assert acc_on.tobytes() == acc_ref.tobytes()
-
-
-def test_coherence_caches_engage():
-    # In the coherent regime (pinned box via measured LB, small dt) the
-    # tree cache must actually repair/reuse and the walk cache must
-    # actually score hits -- guards against the knobs silently always
-    # falling back cold.
-    from repro.core.parallel_simulation import run_parallel_simulation
-    particles = plummer_model(2000, seed=27)
-    cfg = _cfg(dt=1e-3, **COHERENT)
-    sims = run_parallel_simulation(2, particles, cfg, n_steps=4,
-                                   load_balance="measured",
-                                   lb_source="counts")
-    modes = [s._tree_cache.last.mode for s in sims]
-    assert any(m in ("reuse", "repair") for m in modes), modes
-    assert sum(s._walk_cache.hits for s in sims) > 0
-    assert all(s._walk_cache.epoch >= 0 for s in sims)
-
-
-@pytest.mark.parametrize("n_ranks", [2, 4])
-def test_coherence_knobs_bitwise_on_process_transport(n_ranks):
-    # Same contract across the process (forked ranks, shared-memory
-    # messaging) transport: end-of-run positions, forces and per-step
-    # interaction counts bitwise-match the knob-off process run.
-    from repro.core.parallel_simulation import run_parallel_simulation
-    particles = plummer_model(512, seed=28)
-
-    def run(config):
-        res = run_parallel_simulation(n_ranks, particles.copy(), config,
-                                      n_steps=2, transport="process",
-                                      load_balance="measured",
-                                      lb_source="counts", timeout=300.0)
-        ids = np.concatenate([r.particles.ids for r in res])
-        order = np.argsort(ids, kind="stable")
-        pos = np.concatenate([r.particles.pos for r in res])[order]
-        acc = np.concatenate([r.acc for r in res])[order]
-        counts = [tuple((bd.counts.n_pp, bd.counts.n_pc)
-                        for bd in r.history) for r in res]
-        return pos, acc, counts
-
-    # Untraced run: let_drain="auto" would resolve to the opportunistic
-    # drain, whose accumulation order races on LET arrival -- pin the
-    # baseline to the deterministic rank-order drain, the schedule the
-    # incremental drain promises to match bitwise.
-    ref = run(_cfg(let_drain="deterministic"))
-    on = run(_cfg(**COHERENT))
-    assert on[2] == ref[2]
-    assert on[0].tobytes() == ref[0].tobytes()
-    assert on[1].tobytes() == ref[1].tobytes()
-
-
-# -- warm_walk unit tests -------------------------------------------------
-
-@pytest.fixture(scope="module")
-def warm_setup():
-    """A target tree walked against its own boundary structure."""
-    rng = np.random.default_rng(31)
-    pos = rng.normal(size=(3000, 3))
-    mass = rng.uniform(0.5, 1.0, 3000)
-    box = BoundingBox.from_positions(pos)
-    t = build_octree(pos, nleaf=16, box=box)
-    compute_moments(t, pos, mass)
-    compute_opening_radii(t, 0.5, "bonsai")
-    make_groups(t, 64)
-    sp = pos[t.order]
-    sm = mass[t.order]
-    source = boundary_structure(t, sp, sm)
-    gmin, gmax = group_aabbs(t, sp)
-    return source, gmin, gmax
-
-
-def test_warm_walk_miss_then_hit_bitwise(warm_setup):
-    from repro.gravity import WalkCache, warm_walk
-    source, gmin, gmax = warm_setup
-    rpc_g, rpc_c, rpp_g, rpp_c, _ = walk_interaction_lists(
-        source, gmin, gmax)
-    cache = WalkCache()
-    for expect_warm in (False, True):
-        pc_g, pc_c, pp_g, pp_c, mf, warm = warm_walk(
-            cache, ("let", 1), source, gmin, gmax)
-        assert warm is expect_warm
-        assert pc_g.tobytes() == rpc_g.tobytes()
-        assert pc_c.tobytes() == rpc_c.tobytes()
-        assert pp_g.tobytes() == rpp_g.tobytes()
-        assert pp_c.tobytes() == rpp_c.tobytes()
-        assert mf >= 1
-    assert cache.hits > 0 and cache.misses == 1
-
-
-def test_warm_walk_exact_under_mac_flips(warm_setup):
-    # Same structure, perturbed moments: PC<->PP<->OPEN decisions flip
-    # but the warm result must still equal a cold walk on the *new*
-    # moments, bitwise -- the OPEN->accept fallback and PC->OPEN
-    # sub-walks are what make that exact.
-    import dataclasses
-    from repro.gravity import WalkCache, warm_walk
-    source, gmin, gmax = warm_setup
-    rng = np.random.default_rng(32)
-    flipped = dataclasses.replace(
-        source, r_crit=source.r_crit * rng.uniform(0.5, 2.0,
-                                                   len(source.r_crit)))
-    cache = WalkCache()
-    warm_walk(cache, "local", source, gmin, gmax)     # prime (cold)
-    wg = warm_walk(cache, "local", flipped, gmin, gmax)
-    ref = walk_interaction_lists(flipped, gmin, gmax)
-    assert wg[5] is True      # same structure arrays: warm path taken
-    for a, b in zip(wg[:4], ref[:4]):
-        assert a.tobytes() == b.tobytes()
-    # Warm again on the flipped moments: the stored-back visit list must
-    # itself be a valid warm-start basis.
-    wg2 = warm_walk(cache, "local", flipped, gmin, gmax)
-    assert wg2[5] is True
-    for a, b in zip(wg2[:4], ref[:4]):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_walk_cache_flushes_on_group_change(warm_setup):
-    from repro.gravity import WalkCache, warm_walk
-    source, gmin, gmax = warm_setup
-    cache = WalkCache()
-    cache.begin_step(np.array([0]), np.array([10]))
-    warm_walk(cache, "local", source, gmin, gmax)
-    # New partition: cached group ids are meaningless, entries flushed.
-    cache.begin_step(np.array([0, 10]), np.array([10, 5]))
-    assert not cache.has("local", source)
-    got = warm_walk(cache, "local", source, gmin, gmax)
-    assert got[5] is False
-    cache.bump_epoch()
-    assert not cache.has("local", source)

@@ -1,5 +1,7 @@
 """Tests for the p-p and p-c force kernels (Eqs. 1-2 of the paper)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,3 +176,13 @@ def test_workspace_kernels_match_allocating_forms():
     got = pc_interactions_ws(*buf, qcols, eps2, *scratch)
     for a, b in zip(got, ref):
         assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
+
+
+def test_point_forces_eps_zero_warning_clean():
+    # Coincident target/source at eps = 0: inf is fine, warnings are not.
+    pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    mass = np.ones(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        acc, phi = point_forces_on_targets(pos, pos, mass, 0.0)
+    assert np.isinf(phi).all()

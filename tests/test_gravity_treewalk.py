@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.gravity import direct_forces, tree_forces
-from repro.gravity.treewalk import group_aabbs, walk_interaction_lists
+from repro.gravity.flops import InteractionCounts
+from repro.gravity.treewalk import (
+    evaluate_pc_pairs,
+    evaluate_pp_pairs,
+    group_aabbs,
+    walk_interaction_lists,
+)
+from repro.ics import plummer_model
 from repro.octree import build_octree, compute_moments, compute_opening_radii, make_groups
 
 
@@ -161,3 +168,30 @@ def test_interaction_counts_grow_with_n():
         res, _ = _forces(ps, theta=0.5)
         pcs.append(res.counts.n_pc / n)
     assert pcs[0] < pcs[1] < pcs[2]
+
+
+def test_single_particle_and_eps_zero_edges():
+    # Two particles at eps = 0: every pair list is tiny or pure
+    # self-pairs, and self-exclusion must keep the result finite.
+    ps = plummer_model(2, seed=5)
+    res, _ = _forces(ps, theta=0.5, eps=0.0)
+    assert np.isfinite(res.acc).all() and np.isfinite(res.phi).all()
+
+
+def test_empty_pair_lists_are_noops():
+    empty = np.empty(0, dtype=np.int64)
+    acc = np.zeros((4, 3))
+    phi = np.zeros(4)
+    ps = plummer_model(4, seed=9)
+    tree = build_octree(ps.pos, nleaf=8)
+    compute_moments(tree, ps.pos, ps.mass)
+    make_groups(tree, 16)
+    counts = InteractionCounts()
+    evaluate_pc_pairs(acc, phi, ps.pos, tree, empty, empty,
+                      tree.group_first, tree.group_count, 1e-4, True, counts)
+    evaluate_pp_pairs(acc, phi, ps.pos, ps.pos, ps.mass, empty, empty,
+                      tree.group_first, tree.group_count,
+                      tree.body_first, tree.body_count, 1e-4,
+                      counts, exclude_self=True)
+    assert counts.n_pp == counts.n_pc == 0
+    assert not acc.any() and not phi.any()

@@ -64,14 +64,6 @@ def test_reference_force_path_trace_byte_identical():
         chrome_trace_json(_traced_run(ref))
 
 
-def test_float32_fast_path_trace_byte_identical():
-    """Reduced-precision kernels don't reintroduce nondeterminism."""
-    c32 = SimulationConfig(theta=0.6, softening=0.02, dt=0.01,
-                           precision="float32")
-    assert chrome_trace_json(_traced_run(c32)) == \
-        chrome_trace_json(_traced_run(c32))
-
-
 def test_jsonl_byte_identical_across_runs(cfg):
     a = "\n".join(jsonl_lines(_traced_run(cfg)))
     b = "\n".join(jsonl_lines(_traced_run(cfg)))
@@ -220,64 +212,3 @@ def test_serial_trace_byte_identical():
         return chrome_trace_json(tracer)
 
     assert run() == run()
-
-
-# -- step coherence: the reuse paths stay byte-deterministic --------------
-
-@pytest.fixture(scope="module")
-def coherent_cfg():
-    """Every step-coherence knob on: incremental tree repair, walk
-    warm-starts, and the incremental LET drain (which overlaps the
-    boundary-batch walk with in-flight LET sends yet still consumes
-    LETs in rank order)."""
-    return SimulationConfig(theta=0.6, softening=0.02, dt=0.01,
-                            tree_reuse="repair", walk_warm_start=True,
-                            let_drain="incremental")
-
-
-def test_coherent_trace_byte_identical_across_runs(coherent_cfg):
-    a = chrome_trace_json(_traced_run(coherent_cfg))
-    b = chrome_trace_json(_traced_run(coherent_cfg))
-    assert a == b
-
-
-@pytest.mark.parametrize("ranks", (2, 4))
-def test_coherent_trace_byte_identical_across_transports(coherent_cfg,
-                                                         ranks):
-    """The incremental drain and the warm-start caches are rank-local
-    and structurally validated, so the process transport must replay
-    the threaded coherent trace byte for byte -- including the new
-    tree_repair spans and walk-cache counters."""
-    threads = chrome_trace_json(_traced_run(coherent_cfg, n_ranks=ranks))
-    process = chrome_trace_json(_traced_run(coherent_cfg,
-                                            transport="process",
-                                            n_ranks=ranks))
-    assert threads == process
-
-
-def test_incremental_drain_trace_byte_identical(cfg):
-    """let_drain="incremental" alone (no other reuse knobs): still a
-    deterministic schedule under the virtual clock."""
-    inc = SimulationConfig(theta=0.6, softening=0.02, dt=0.01,
-                           let_drain="incremental")
-    assert chrome_trace_json(_traced_run(inc)) == \
-        chrome_trace_json(_traced_run(inc))
-
-
-def test_coherent_measured_trace_deterministic(coherent_cfg):
-    """Reuse knobs + the measured load-balance feedback loop: the
-    regime the knobs are built for (a pinned box is what lets the tree
-    cache engage) must replay exactly, boundaries included."""
-    trace_a, bounds_a = _measured_run(coherent_cfg)
-    trace_b, bounds_b = _measured_run(coherent_cfg)
-    assert chrome_trace_json(trace_a) == chrome_trace_json(trace_b)
-    assert bounds_a == bounds_b
-
-
-def test_coherent_trace_contains_repair_spans(coherent_cfg):
-    tracer = _traced_run(coherent_cfg)
-    names = {e.name for e in tracer.events()}
-    assert "tree_repair" in names
-    modes = {e.args.get("tree_mode") for e in tracer.events()
-             if e.name == "tree_repair"}
-    assert modes <= {"reuse", "repair", "cold"} and modes

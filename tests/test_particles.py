@@ -34,6 +34,21 @@ def test_shape_validation():
                     mass=np.zeros(3), ids=np.zeros(2, dtype=np.int64))
 
 
+
+@pytest.mark.parametrize("name,bad", [("pos", np.nan), ("vel", np.inf),
+                                      ("mass", np.inf), ("mass", -np.inf)])
+def test_non_finite_inputs_rejected(name, bad):
+    # One bad value would poison every particle after the first force
+    # pass; the set must refuse it at construction, naming the array and
+    # the first offending index.
+    rng = np.random.default_rng(3)
+    arrays = {"pos": rng.normal(size=(6, 3)), "vel": rng.normal(size=(6, 3)),
+              "mass": rng.uniform(0.5, 1.0, 6)}
+    arrays[name][4] = bad
+    arrays[name][5] = bad
+    with pytest.raises(ValueError, match=rf"{name} .*index 4\b"):
+        ParticleSet(**arrays)
+
 def test_select_copies():
     ps = _make()
     sub = ps.select(np.array([1, 3]))
