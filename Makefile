@@ -1,4 +1,4 @@
-.PHONY: install test test-faults test-loadbalance test-transport \
+.PHONY: install test test-kernels test-faults test-loadbalance test-transport \
 	test-health bench bench-quick bench-step bench-transport \
 	bench-history bench-selftest trace flame dashboard clean
 
@@ -7,6 +7,12 @@ install:
 
 test:
 	pytest tests/
+
+# Force-kernel suites with RuntimeWarning promoted to an error: a pad
+# slot or self-pair that produces inf/NaN fails instead of warning.
+test-kernels:
+	pytest -q -W error::RuntimeWarning tests/test_gravity_blocked.py \
+	       tests/test_gravity_treewalk.py tests/test_gravity_kernels.py
 
 # Full fault-injection + differential-verification harness, including the
 # harness_slow matrix the default run skips (see docs/TESTING.md).

@@ -2,9 +2,9 @@
 
 Compares the full distributed step (4 SimMPI ranks, clustered Milky-Way
 initial conditions) between the fast path -- batched multi-source forest
-walks, preallocated kernel workspaces with segment reduction, SFC
-sort-order reuse -- and the reference pipeline it replaced
-(one-walk-per-source, ``bincount`` scatter, cold argsort every step).
+walks and SFC sort-order reuse -- and the reference pipeline
+(one walk per source, cold argsort every step).  Both evaluate forces
+with the same group-blocked workspace kernels.
 
 Outputs:
 
@@ -42,9 +42,8 @@ GOLDEN_N = 4000
 BENCH_N = int(os.environ.get("STEP_BENCH_N", "8000"))
 BENCH_STEPS = int(os.environ.get("STEP_BENCH_STEPS", "2"))
 
-#: The reference pipeline this PR replaced, expressed as config knobs.
-REFERENCE = dict(batch_sources=False, sort_reuse=False,
-                 scatter="bincount", chunk=1 << 21)
+#: The reference pipeline, expressed as config knobs.
+REFERENCE = dict(batch_sources=False, sort_reuse=False)
 
 
 def _cfg(**kw):

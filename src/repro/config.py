@@ -6,7 +6,7 @@ import dataclasses
 import math
 
 from .constants import PAPER_NLEAF, PAPER_THETA
-from .gravity.treewalk import DEFAULT_CHUNK, SCATTER_MODES
+from .gravity.treewalk import DEFAULT_CHUNK
 
 
 @dataclasses.dataclass
@@ -29,12 +29,9 @@ class SimulationConfig:
     force_method: str = "tree"       # "tree" or "direct" (O(N^2) oracle)
 
     # --- Force pipeline knobs -------------------------------------------
-    #: Pairs per evaluation chunk (cache blocking of the interaction
-    #: kernels); the default fits the workspace in L2/L3 on this host.
+    #: Block elements (target slot x source column) per evaluation chunk:
+    #: cache blocking of the interaction kernels.
     chunk: int = DEFAULT_CHUNK
-    #: Pair-to-target reduction: "segment" (reduceat over target runs,
-    #: allocation-free) or "bincount" (legacy length-N scatter).
-    scatter: str = "segment"
     #: Walk all remote boundary/LET structures in one concatenated
     #: forest pass instead of one walk per source.
     batch_sources: bool = True
@@ -76,8 +73,6 @@ class SimulationConfig:
             raise ValueError(f"unknown curve {self.curve!r}")
         if self.chunk < 1:
             raise ValueError("chunk must be >= 1")
-        if self.scatter not in SCATTER_MODES:
-            raise ValueError(f"unknown scatter {self.scatter!r}")
         from .simmpi.transport import TRANSPORTS
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}; "

@@ -43,6 +43,7 @@ from ..sfc import BoundingBox, SortCache
 from ..simmpi import SimComm, spmd_run
 from ..simmpi.transport import make_world, world_transport
 from .step import StepBreakdown
+from .validation import check_finite_state
 
 
 @dataclasses.dataclass
@@ -364,7 +365,7 @@ class ParallelSimulation:
         boundary/LET *build+send* time books under "Unbalance + Other"
         (the paper hides it), the rest map one-to-one.
         """
-        if self._workspace is None and self.config.scatter == "segment":
+        if self._workspace is None:
             self._workspace = KernelWorkspace(self.config.chunk)
         keys, self._keys = self._keys, None
         result = distributed_forces(
@@ -413,6 +414,9 @@ class ParallelSimulation:
         bd = StepBreakdown()
         if self._acc is None:
             self.prime(bd)
+            # Non-finite first forces would reach the domain update as
+            # NaN keys before the end-of-step check could name them.
+            check_finite_state(self.particles, self._acc, self.step_count)
         dt = self.config.dt
         half = 0.5 * dt
 
@@ -431,6 +435,7 @@ class ParallelSimulation:
         t1 = self._now()
         self._rec("other", t0, t1)
         bd.other += t1 - t0
+        check_finite_state(self.particles, self._acc, self.step_count)
 
         self.time += dt
         self.step_count += 1

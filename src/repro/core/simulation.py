@@ -27,6 +27,7 @@ from ..octree import build_octree, compute_moments, make_groups
 from ..particles import ParticleSet
 from ..sfc import BoundingBox, SortCache
 from .step import StepBreakdown
+from .validation import check_finite_state
 
 
 class Simulation:
@@ -148,13 +149,12 @@ class Simulation:
         bd.tree_properties += t3 - t2
         self._rec("tree_properties", t2, t3)
 
-        if self._workspace is None and cfg.scatter == "segment":
+        if self._workspace is None:
             self._workspace = KernelWorkspace(cfg.chunk)
         result = tree_forces(tree, ps.pos, ps.mass, theta=cfg.theta,
                              eps=cfg.softening, mac=cfg.mac,
                              quadrupole=cfg.quadrupole,
-                             chunk=cfg.chunk, scatter=cfg.scatter,
-                             workspace=self._workspace)
+                             chunk=cfg.chunk, workspace=self._workspace)
         t4 = self._now()
         bd.gravity_local += t4 - t3
         self._rec("gravity_local", t3, t4, n_particles=ps.n,
@@ -188,6 +188,7 @@ class Simulation:
         t3 = self._now()
         bd.other += t3 - t2
         self._rec("other", t2, t3)
+        check_finite_state(self.particles, self._acc, self.step_count)
 
         self.time += dt
         self.step_count += 1

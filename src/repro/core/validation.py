@@ -1,10 +1,12 @@
-"""Runtime force-accuracy validation.
+"""Runtime validation: force accuracy and finite state.
 
 Tree codes trade accuracy for speed through theta; production campaigns
 routinely spot-check the approximation by recomputing exact forces for a
 random particle sample (cheap: O(sample * N)).  This module provides
 that check for both the serial and distributed drivers and is used by
-the test suite as the ground-truth oracle.
+the test suite as the ground-truth oracle.  It also holds the
+step-boundary finiteness check both drivers run after every step, so a
+non-finite state stops the run where it appears instead of spreading.
 """
 
 from __future__ import annotations
@@ -71,3 +73,26 @@ def validate_forces(particles: ParticleSet, acc: np.ndarray,
         maximum=float(rel.max()),
         potential_median=float(np.median(perr)),
     )
+
+
+def check_finite_state(particles: ParticleSet, acc: np.ndarray,
+                       step: int) -> None:
+    """Raise ``FloatingPointError`` if any position, velocity or
+    acceleration is non-finite at step ``step``.
+
+    The error names the first offending particle by its persistent id.
+    One ``isfinite`` pass per array: about 0.1 ms at N = 20000.
+    """
+    if (np.isfinite(particles.pos).all() and np.isfinite(particles.vel).all()
+            and np.isfinite(acc).all()):
+        return
+    bad = ~(np.isfinite(particles.pos).all(axis=1)
+            & np.isfinite(particles.vel).all(axis=1)
+            & np.isfinite(acc).all(axis=1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FloatingPointError(
+            f"non-finite state at step {step}: {int(bad.sum())} "
+            f"particle(s), first id {int(particles.ids[i])} "
+            f"(pos {particles.pos[i]}, vel {particles.vel[i]}, "
+            f"acc {acc[i]})")

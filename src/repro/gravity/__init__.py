@@ -22,7 +22,6 @@ from .kernels import pp_interactions, pc_interactions
 from .direct import direct_forces
 from .treewalk import (
     DEFAULT_CHUNK,
-    SCATTER_MODES,
     KernelWorkspace,
     SourceView,
     TreeWalkResult,
@@ -51,7 +50,6 @@ __all__ = [
     "KernelWorkspace",
     "SourceView",
     "DEFAULT_CHUNK",
-    "SCATTER_MODES",
     "SourceForest",
     "walk_forest_interaction_lists",
     "split_by_source",

@@ -15,17 +15,19 @@ tensor of the cell about its COM)::
     a_i   +=  m_j r/|r|^3 - 3 tr(Q) r/(2|r|^5) - 3 Q r/|r|^5
               + 15 (r^T Q r) r / (2 |r|^7)
 
-Both kernels are flat: they take pre-gathered target/source pairs as 1-D
-arrays and return per-pair contributions, which callers accumulate (see
-``treewalk``).  This mirrors the GPU organisation where the interaction
-list is evaluated on the fly and never stored in off-chip memory.
-
-Each kernel exists in two forms: the original allocating form
-(``pp_interactions`` / ``pc_interactions``), and an in-place workspace
-form (``pp_interactions_ws`` / ``pc_interactions_ws``) whose every ufunc
-writes into caller-provided scratch via ``out=`` so steady-state
-evaluation allocates nothing -- the register-resident evaluation the
-paper credits for its single-GPU efficiency, transposed to numpy.
+Each kernel exists in two forms.  The allocating form
+(``pp_interactions`` / ``pc_interactions``) is the readable reference:
+it takes pre-gathered (target, source) pairs as flat 1-D arrays and
+returns per-pair contributions.  The workspace form
+(``pp_interactions_ws`` / ``pc_interactions_ws``) is what the tree walk
+runs: every ufunc writes into caller-provided scratch via ``out=``, so
+steady-state evaluation allocates nothing, and it is broadcast-aware.
+Separations arrive as a ``(w, P)`` block -- ``w`` target slots of a
+particle group against ``P`` cells or source bodies -- while the source
+operands (mass, quadrupole terms, tr Q) are rows gathered once per cell
+and broadcast down the block.  This is Bonsai's group evaluation
+(Sec. III-A): a group loads its interaction list once and every target
+of the group reuses it, transposed to numpy.
 """
 
 from __future__ import annotations
@@ -104,11 +106,14 @@ def pp_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
                        m: np.ndarray, eps2: float,
                        r2: np.ndarray, tmp: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """In-place p-p kernel: allocation-free workspace form.
+    """In-place p-p kernel on a separation block: allocation-free form.
 
-    All six arrays must be same-length, same-dtype scratch buffers owned
-    by the caller.  ``dx``/``dy``/``dz``/``m`` are *consumed*: on return
-    they alias (ax, ay, az, phi).
+    ``dx``/``dy``/``dz``/``r2``/``tmp`` are same-shape float64 scratch
+    blocks owned by the caller; ``m`` holds the source masses in any
+    shape that broadcasts against them -- the evaluators pass one
+    length-``P`` row of per-source values against ``(w, P)`` blocks.
+    ``dx``/``dy``/``dz``/``r2`` are *consumed*: on return they alias
+    (ax, ay, az, phi).
     """
     np.multiply(dx, dx, out=r2)
     np.multiply(dy, dy, out=tmp)
@@ -120,31 +125,37 @@ def pp_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         np.sqrt(r2, out=r2)
         np.divide(1.0, r2, out=r2)          # r2 now holds rinv
-        rinv = r2
-        np.multiply(m, rinv, out=m)         # m now holds mrinv
-        np.multiply(rinv, rinv, out=tmp)
-        np.multiply(m, tmp, out=tmp)        # tmp now holds mrinv3
+        np.multiply(r2, r2, out=tmp)        # rinv^2
+        np.multiply(m, r2, out=r2)          # mrinv
+        np.multiply(r2, tmp, out=tmp)       # mrinv3
         np.multiply(dx, tmp, out=dx)
         np.multiply(dy, tmp, out=dy)
         np.multiply(dz, tmp, out=dz)
-        np.negative(m, out=m)               # phi
-    return dx, dy, dz, m
+        np.negative(r2, out=r2)             # phi
+    return dx, dy, dz, r2
 
 
 def pc_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
                        m: np.ndarray, quad: tuple[np.ndarray, ...] | None,
-                       eps2: float,
-                       r2: np.ndarray, tmp: np.ndarray,
-                       trq: np.ndarray, qrx: np.ndarray,
-                       qry: np.ndarray, qrz: np.ndarray
+                       eps2: float, trq: np.ndarray,
+                       scratch: tuple[np.ndarray, ...]
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """In-place p-c kernel: allocation-free workspace form.
+    """In-place p-c kernel on a separation block: allocation-free form.
 
-    ``quad`` is a 6-tuple of per-pair component buffers (xx, yy, zz, xy,
-    xz, yz) -- *consumed* as scratch after their values are read -- or
-    None for the monopole branch.  ``dx``/``dy``/``dz``/``m`` are
-    consumed and alias (ax, ay, az, phi) on return.
+    Broadcast contract: ``dx``/``dy``/``dz`` are ``(w, P)`` separation
+    blocks (slot ``j`` of a target group against ``P`` cells); the cell
+    operands ``m``, the six ``quad`` components (xx, yy, zz, xy, xz,
+    yz) and the ``trq`` scratch are length-``P`` rows broadcast down the
+    block, so per-cell terms -- the mass and tr Q -- cost one operation
+    per cell, not one per target.  ``quad=None`` selects the monopole
+    branch.  ``scratch`` holds nine more blocks shaped like ``dx``:
+    (r2, tmp, qrx, qry, qrz, rqr, rinv2, rinv3, rinv5).
+    ``dx``/``dy``/``dz`` and ``scratch[0]`` are consumed and alias (ax,
+    ay, az, phi) on return.  Term for term this is
+    :func:`pc_interactions`; constant factors associate differently, so
+    the two agree to a few ulps.
     """
+    r2, tmp, qrx, qry, qrz, rqr, rinv2, rinv3, rinv5 = scratch
     if quad is None:
         return pp_interactions_ws(dx, dy, dz, m, eps2, r2, tmp)
     qxx, qyy, qzz, qxy, qxz, qyz = quad
@@ -160,10 +171,10 @@ def pc_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
     np.divide(1.0, r2, out=r2)              # rinv
     rinv = r2
 
-    np.add(qxx, qyy, out=trq)
+    np.add(qxx, qyy, out=trq)               # per cell
     trq += qzz
 
-    # Q r before the q-component buffers are recycled.
+    # Q r (matrix-vector, symmetric packed form).
     np.multiply(qxx, dx, out=qrx)
     np.multiply(qxy, dy, out=tmp)
     qrx += tmp
@@ -180,23 +191,20 @@ def pc_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
     np.multiply(qzz, dz, out=tmp)
     qrz += tmp
 
-    rqr = qxx                               # recycle: qxx is dead
     np.multiply(dx, qrx, out=rqr)
     np.multiply(dy, qry, out=tmp)
     rqr += tmp
     np.multiply(dz, qrz, out=tmp)
     rqr += tmp
 
-    rinv2 = qyy                             # recycle the remaining q bufs
-    rinv3 = qzz
-    rinv5 = qxy
-    rinv7 = qxz
+    # Powers of rinv; rinv7 overwrites rinv2, its last use.
     np.multiply(rinv, rinv, out=rinv2)
     np.multiply(rinv, rinv2, out=rinv3)
     np.multiply(rinv3, rinv2, out=rinv5)
+    rinv7 = rinv2
     np.multiply(rinv5, rinv2, out=rinv7)
 
-    phi = qyz
+    phi = rinv                              # rinv is dead after this product
     np.multiply(m, rinv, out=phi)
     np.negative(phi, out=phi)
     np.multiply(trq, rinv3, out=tmp)
@@ -206,7 +214,7 @@ def pc_interactions_ws(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
     tmp *= 1.5
     phi -= tmp
 
-    radial = m                              # m is dead after this product
+    radial = rinv3                          # rinv3 is dead after this product
     np.multiply(m, rinv3, out=radial)
     np.multiply(trq, rinv5, out=tmp)
     tmp *= 1.5

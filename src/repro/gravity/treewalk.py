@@ -5,9 +5,9 @@ proceeds once per particle *group* (warp), testing the MAC between the
 group's tight AABB and each cell's COM / opening radius.  Accepted cells
 become particle-cell (p-c) interactions shared by the whole group; leaf
 cells that fail the MAC become particle-particle (p-p) interactions.
-Interaction lists are never materialised in full: pairs are expanded and
-evaluated in bounded chunks, mirroring the register-resident evaluation
-the paper credits for its single-GPU efficiency.
+Interaction lists are never materialised in full: pairs are evaluated in
+bounded blocks, mirroring the register-resident evaluation the paper
+credits for its single-GPU efficiency.
 
 The same machinery walks *remote* LET trees (Sec. III-B2): the walk is
 parameterised by an arbitrary source tree, so the distributed code feeds
@@ -15,26 +15,19 @@ each received LET through this function and sums the partial forces.
 :mod:`repro.gravity.forest` batches many remote structures into a single
 walk over a concatenated cell forest.
 
-Two evaluation strategies are provided (``scatter=``):
-
-``"segment"`` (default, the fast path)
-    Pairs are stable-sorted by group, expanded particle-major through a
-    preallocated :class:`KernelWorkspace` (every ufunc writes ``out=``,
-    so steady state allocates nothing), evaluated by the in-place kernel
-    forms, and accumulated with one ``np.add.reduceat`` segment sum per
-    output component -- the targets of one chunk are unique, so the
-    scatter is a plain fancy-indexed add instead of four length-N
-    ``bincount`` passes per chunk.
-
-``"bincount"`` (the pre-optimisation baseline)
-    The original allocating evaluators, kept for A/B benchmarking
-    (``benchmarks/bench_step_pipeline.py``) and as a reference
-    implementation.
-
-Interaction *counts* are identical between the two: they are a property
-of the walk's pair lists, which neither strategy touches.  Both evaluate
-in float64; the public evaluators call the segment kernels directly, so
-the serial driver, the local walk and every LET share one code path.
+Evaluation is group-blocked, as in Bonsai's force kernel: a group
+loads its interaction list once and every target of the group reuses
+it.  Pairs are ordered by (group size, group); each evaluation chunk is
+one ``(w, P)`` block of ``w`` target slots against ``P`` source columns
+-- accepted cells for p-c, the bodies of opened leaves for p-p.  Source
+operands are gathered once per column and target coordinates once per
+group, the in-place kernels of :mod:`repro.gravity.kernels` broadcast
+the former down the block, and one ``np.add.reduceat`` per output
+component sums each group's columns.  All scratch lives in a
+preallocated :class:`KernelWorkspace`, so steady state allocates no
+block-sized memory.  Interaction *counts* are a property of the walk's
+pair lists, which evaluation never touches; the serial driver, the
+local walk and every LET share this one float64 code path.
 """
 
 from __future__ import annotations
@@ -46,21 +39,11 @@ import numpy as np
 from ..octree import Octree, compute_opening_radii
 from ..octree.properties import aabb_distance
 from .flops import InteractionCounts
-from .kernels import (
-    pc_interactions,
-    pc_interactions_ws,
-    pp_interactions,
-    pp_interactions_ws,
-)
+from .kernels import pc_interactions_ws, pp_interactions_ws
 
-#: Upper bound on expanded (target, source) pairs per evaluation chunk.
-#: Sized so the workspace's ~20 chunk-length buffers stay cache-resident:
-#: the chunk sweep in benchmarks/results/step_pipeline.txt runs ~2.4x
-#: faster per pair at 2**15 than at the old allocating 2**21.
+#: Block elements (target slot x source column) per evaluation chunk.
+#: Sized so the workspace blocks a chunk touches stay cache-resident.
 DEFAULT_CHUNK = 1 << 15
-
-#: Evaluation scatter strategies (see module docstring).
-SCATTER_MODES = ("segment", "bincount")
 
 
 @dataclasses.dataclass
@@ -80,44 +63,53 @@ class TreeWalkResult:
 
 
 class KernelWorkspace:
-    """Preallocated scratch arena for the chunked evaluators.
+    """Preallocated scratch arena for the group-blocked evaluators.
 
-    One workspace serves every chunk of every source a rank evaluates:
-    sixteen float64 kernel buffers, two float64 gather staging buffers,
-    seven int64 index buffers plus a persistent arange, and a bool mask
-    for self-pair exclusion.  ``ensure`` grows the arena when a chunk
-    expands past the current capacity (a pair list's last slice may
-    overshoot ``chunk`` by one pair's expansion) and is a no-op
-    afterwards -- steady-state evaluation performs no allocation.
+    Capacity ``chunk`` counts block elements.  The arena holds twelve
+    float64 blocks (three separations plus the p-c kernel's nine scratch
+    blocks), eleven float64 per-column rows (cell COM, mass, six
+    quadrupole terms and tr Q; the p-p evaluator reuses the first four
+    for body position and mass), four int64 per-column index buffers
+    with a persistent arange, and a bool mask.  A ``(w, P)`` block is a
+    reshaped view of a flat buffer, so one arena serves every block
+    shape.  ``ensure`` grows the arena when a chunk overshoots the
+    capacity (a group wider than ``chunk``, or a p-p chunk's last leaf)
+    and is a no-op afterwards.
     """
 
-    _F_NAMES = ("dx", "dy", "dz", "m", "q0", "q1", "q2", "q3", "q4", "q5",
-                "r2", "tmp", "trq", "qrx", "qry", "qrz")
-    _I_NAMES = ("i1", "i2", "i3", "i4", "i5", "i6", "i7")
+    _BLOCKS = ("dx", "dy", "dz", "r2", "tmp", "qrx", "qry", "qrz", "rqr",
+               "rinv2", "rinv3", "rinv5")
+    _ROWS = ("cx", "cy", "cz", "m", "q0", "q1", "q2", "q3", "q4", "q5",
+             "trq")
+    _INDEX = ("rid", "i1", "i2", "i3")
 
     def __init__(self, chunk: int = DEFAULT_CHUNK):
         self.chunk = 0
         self.ensure(int(chunk))
 
     def ensure(self, chunk: int) -> "KernelWorkspace":
-        """Grow the arena to hold ``chunk`` expanded pairs."""
+        """Grow the arena to hold ``chunk`` block elements."""
         if chunk <= self.chunk:
             return self
         self.chunk = int(chunk)
-        for name in self._F_NAMES:
+        for name in self._BLOCKS + self._ROWS:
             setattr(self, name, np.empty(self.chunk, dtype=np.float64))
-        self.g1 = np.empty(self.chunk, dtype=np.float64)
-        self.g2 = np.empty(self.chunk, dtype=np.float64)
-        for name in self._I_NAMES:
+        for name in self._INDEX:
             setattr(self, name, np.empty(self.chunk, dtype=np.int64))
         self.arange = np.arange(self.chunk, dtype=np.int64)
         self.bmask = np.empty(self.chunk, dtype=bool)
         return self
 
+    def block(self, name: str, w: int, p: int) -> np.ndarray:
+        """A ``(w, p)`` view of the flat buffer ``name``."""
+        return getattr(self, name)[:w * p].reshape(w, p)
+
     @property
     def nbytes(self) -> int:
         """Total arena size (for memory accounting)."""
-        return self.chunk * (16 * 8 + 2 * 8 + 8 * 8 + 1)
+        n_float = len(self._BLOCKS) + len(self._ROWS)
+        n_int = len(self._INDEX) + 1                    # + arange
+        return self.chunk * (8 * (n_float + n_int) + 1)
 
 
 class SourceView:
@@ -264,353 +256,225 @@ def walk_interaction_lists(source, gmin: np.ndarray, gmax: np.ndarray
                          source.com, source.r_crit, gmin, gmax, g, c)
 
 
-def _expand_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Concatenate [first_i, first_i + count_i) ranges into one index array."""
-    total = int(count.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    reps = np.repeat(np.arange(len(first), dtype=np.int64), count)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(count) - count, count)
-    return first[reps] + offs
-
-
 def _chunk_starts(cum: np.ndarray, n_pairs: int, chunk: int) -> np.ndarray:
-    """Pair-list slice boundaries so each slice expands to ~chunk rows."""
+    """Pair-list slice boundaries so each slice expands to ~chunk columns."""
     total = int(cum[-1])
     splits = np.searchsorted(cum, np.arange(chunk, total, chunk),
                              side="left") + 1
     return np.concatenate(([0], splits, [n_pairs]))
 
 
-# ---------------------------------------------------------------------------
-# Baseline evaluators ("bincount"): the pre-optimisation implementation,
-# kept verbatim for A/B benchmarking against the segment fast path.
-# ---------------------------------------------------------------------------
-
-def _evaluate_pc_bincount(acc: np.ndarray, phi: np.ndarray,
-                          tpos: np.ndarray, source,
-                          pc_g: np.ndarray, pc_c: np.ndarray,
-                          group_first: np.ndarray, group_count: np.ndarray,
-                          eps2: float, quadrupole: bool,
-                          counts: InteractionCounts, chunk: int) -> None:
-    n = len(tpos)
-    sizes = group_count[pc_g]
-    cum = np.cumsum(sizes)
-    counts.n_pc += int(cum[-1])
-    starts = _chunk_starts(cum, len(pc_g), chunk)
-    for a, b in zip(starts[:-1], starts[1:]):
-        if a >= b:
-            continue
-        gs = pc_g[a:b]
-        cs = pc_c[a:b]
-        reps = group_count[gs]
-        p = _expand_ranges(group_first[gs], reps)
-        cell = np.repeat(cs, reps)
-        dx = source.com[cell, 0] - tpos[p, 0]
-        dy = source.com[cell, 1] - tpos[p, 1]
-        dz = source.com[cell, 2] - tpos[p, 2]
-        m = source.mass[cell]
-        quad = source.quad[cell] if quadrupole else None
-        ax, ay, az, ph = pc_interactions(dx, dy, dz, m, quad, eps2)
-        acc[:, 0] += np.bincount(p, weights=ax, minlength=n)
-        acc[:, 1] += np.bincount(p, weights=ay, minlength=n)
-        acc[:, 2] += np.bincount(p, weights=az, minlength=n)
-        phi += np.bincount(p, weights=ph, minlength=n)
-
-
-def _evaluate_pp_bincount(acc: np.ndarray, phi: np.ndarray,
-                          tpos: np.ndarray,
-                          spos: np.ndarray, smass: np.ndarray,
-                          pp_g: np.ndarray, pp_c: np.ndarray,
-                          group_first: np.ndarray, group_count: np.ndarray,
-                          body_first: np.ndarray, body_count: np.ndarray,
-                          eps2: float, counts: InteractionCounts,
-                          exclude_self: bool, chunk: int) -> None:
-    n = len(tpos)
-    gc = group_count[pp_g]
-    bc = body_count[pp_c]
-    sizes = (gc * bc).astype(np.int64)
-    cum = np.cumsum(sizes)
-    counts.n_pp += int(cum[-1])
-    starts = _chunk_starts(cum, len(pp_g), chunk)
-    for a, b in zip(starts[:-1], starts[1:]):
-        if a >= b:
-            continue
-        gs = pp_g[a:b]
-        cs = pp_c[a:b]
-        gcs = group_count[gs]
-        bcs = body_count[cs]
-        sz = (gcs * bcs).astype(np.int64)
-        total = int(sz.sum())
-        pair = np.repeat(np.arange(len(gs), dtype=np.int64), sz)
-        off = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(sz) - sz, sz)
-        bcp = bcs[pair]
-        t = group_first[gs][pair] + off // bcp
-        s = body_first[cs][pair] + off % bcp
-        dx = spos[s, 0] - tpos[t, 0]
-        dy = spos[s, 1] - tpos[t, 1]
-        dz = spos[s, 2] - tpos[t, 2]
-        m = smass[s]
-        if exclude_self:
-            m = np.where(t == s, 0.0, m)
-        ax, ay, az, ph = pp_interactions(dx, dy, dz, m, eps2)
-        if exclude_self and eps2 == 0.0:
-            self_pair = t == s
-            ax[self_pair] = ay[self_pair] = az[self_pair] = ph[self_pair] = 0.0
-        acc[:, 0] += np.bincount(t, weights=ax, minlength=n)
-        acc[:, 1] += np.bincount(t, weights=ay, minlength=n)
-        acc[:, 2] += np.bincount(t, weights=az, minlength=n)
-        phi += np.bincount(t, weights=ph, minlength=n)
+def _check_chunk(chunk: int) -> None:
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk!r}")
 
 
 # ---------------------------------------------------------------------------
-# Fast-path evaluators ("segment"): workspace expansion + segment reduction.
+# Group-blocked evaluation.
 # ---------------------------------------------------------------------------
 
-def _sort_pairs(pg: np.ndarray, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable-sort a pair list by group.
+def _sort_pairs(pg: np.ndarray, pc: np.ndarray, group_count: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Stable-sort a pair list by (group size, group).
 
-    Walk output is level-major: a concatenation of per-level slices each
-    already ascending in ``g``, so the adaptive stable sort runs in
-    near-linear time (galloping merge of a few sorted runs).
+    Each group's pairs stay in walk order and contiguous, and groups of
+    equal size are adjacent, so a size bucket is one block layout.
     """
-    order = np.argsort(pg, kind="stable")
+    order = np.argsort(group_count[pg] * len(group_count) + pg,
+                       kind="stable")
     return pg[order], pc[order]
 
 
-def _gather_diff(acol: np.ndarray, aidx: np.ndarray,
-                 bcol: np.ndarray, bidx: np.ndarray,
-                 g1: np.ndarray, g2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = acol[aidx] - bcol[bidx] without temporaries."""
-    np.take(acol, aidx, out=g1)
-    np.take(bcol, bidx, out=g2)
-    np.subtract(g1, g2, out=out)
+def _blocks(width: np.ndarray, cum: np.ndarray, chunk: int):
+    """Slice a size-sorted pair list into evaluation chunks.
+
+    ``width`` is each pair's group size (non-decreasing) and ``cum`` the
+    inclusive prefix sum of its source columns.  A bucket of equal width
+    ``w`` is one ``(w, columns)`` block.  Adjacent buckets too small to
+    fill a chunk merge into one block padded to the widest group, so a
+    list with many distinct group sizes still costs a few blocks; larger
+    blocks are cut into chunks of about ``chunk`` elements.  Yields
+    ``(a, b, w)``: pairs ``[a, b)`` evaluated with ``w`` target slots.
+    """
+    edges = np.flatnonzero(width[1:] != width[:-1]) + 1
+    cum0 = np.concatenate(([0], cum))
+    blocks: list[tuple[int, int, int]] = []
+    for s, e in zip(np.concatenate(([0], edges)),
+                    np.concatenate((edges, [len(width)]))):
+        w = int(width[e - 1])
+        if blocks and (cum0[e] - cum0[blocks[-1][0]]) * w <= chunk:
+            blocks[-1] = (blocks[-1][0], int(e), w)
+        else:
+            blocks.append((int(s), int(e), w))
+    for a, e, w in blocks:
+        starts = a + _chunk_starts(cum0[a + 1:e + 1] - cum0[a], e - a,
+                                   max(1, chunk // w))
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            if lo < hi:
+                yield int(lo), int(hi), w
+
+
+def _run_ids(out: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``out[k]`` = the run containing column ``k`` (strictly ascending
+    run ``starts``, the first one 0), via the indicator/cumsum trick."""
+    out[:] = 0
+    out[starts[1:]] = 1
+    np.cumsum(out, out=out)
     return out
 
 
-def _run_layout(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Detect maximal constant runs in ``key``: (run_first_index, run_length)."""
-    change = np.flatnonzero(key[1:] != key[:-1]) + 1
-    rp = np.concatenate(([0], change))
-    lengths = np.diff(np.concatenate((rp, [len(key)])))
-    return rp, lengths
+def _separations(ws: KernelWorkspace, tview, rows, grun: np.ndarray,
+                 rcol: np.ndarray, group_first: np.ndarray,
+                 group_count: np.ndarray, w: int, p: int):
+    """Source-minus-target separations of a chunk as three ``(w, p)`` blocks.
 
-
-def _row_expand(ws: KernelWorkspace, row_start: np.ndarray, total: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row run ids and in-run offsets via the indicator/cumsum trick.
-
-    Returns (rid, off) slices of workspace buffers i1/i2.
+    ``rows`` are the chunk's per-column source coordinates.  Slot ``j``
+    of column ``k`` is target ``j`` of column ``k``'s group: each group
+    run gathers its ``w`` target coordinates once and broadcasts them
+    over its columns.  Groups narrower than ``w`` repeat their last
+    target in the pad slots, which keeps the pad arithmetic finite; the
+    returned ``(tidx, keep)`` name the ``(w, runs)`` target of every
+    slot and mask the real ones (``keep`` is None without pads).
     """
-    rid = ws.i1[:total]
-    rid[:] = 0
-    if len(row_start) > 2:
-        rid[row_start[1:-1]] = 1
-    np.cumsum(rid, out=rid)
-    off = ws.i2[:total]
-    np.take(row_start, rid, out=off)
-    np.subtract(ws.arange[:total], off, out=off)
-    return rid, off
+    m = group_count[grun]
+    slot = np.arange(w, dtype=np.int64)[:, None]
+    tidx = group_first[grun] + np.minimum(slot, m - 1)
+    keep = None if (m == w).all() else slot < m
+    bounds = np.append(rcol, p).tolist()
+    blocks = []
+    for col, row, name in zip(tview, rows, ("dx", "dy", "dz")):
+        blk = ws.block(name, w, p)
+        tgt = col[tidx]
+        for r in range(len(rcol)):
+            a, b = bounds[r], bounds[r + 1]
+            np.subtract(row[a:b], tgt[:, r:r + 1], out=blk[:, a:b])
+        blocks.append(blk)
+    return blocks, tidx, keep
 
 
-def _segment_scatter(ws: KernelWorkspace, vals, run_gfirst: np.ndarray,
-                     run_nseg: np.ndarray, run_seglen: np.ndarray,
-                     row_start: np.ndarray, outs) -> None:
-    """Reduce per-row kernel outputs into per-particle accumulators.
+def _reduce_scatter(ws: KernelWorkspace, vals, rcol: np.ndarray,
+                    tidx: np.ndarray, keep, accs) -> None:
+    """Sum each group run's columns and add the sums to its targets.
 
-    Each run contributes ``run_nseg`` segments of ``run_seglen``
-    consecutive rows; segment ``j`` of run ``r`` targets particle
-    ``run_gfirst[r] + j``.  Within one chunk every run is a distinct
-    group, so the targets are unique and the scatter is a plain
-    fancy-indexed add -- no ``bincount``, no length-N temporaries.
+    Within one chunk every run is a distinct group, so the targets are
+    unique and the scatter is a plain fancy-indexed add.
     """
-    seg_start = np.concatenate(([0], np.cumsum(run_nseg)))
-    n_seg = int(seg_start[-1])
-    srid = ws.i3[:n_seg]
-    srid[:] = 0
-    if len(seg_start) > 2:
-        srid[seg_start[1:-1]] = 1
-    np.cumsum(srid, out=srid)
-    sj = ws.i4[:n_seg]
-    np.take(seg_start, srid, out=sj)
-    np.subtract(ws.arange[:n_seg], sj, out=sj)
-    st = ws.i1[:n_seg]
-    np.take(run_gfirst, srid, out=st)
-    np.add(st, sj, out=st)
-    sstart = ws.i5[:n_seg]
-    np.take(run_seglen, srid, out=sstart)
-    np.multiply(sstart, sj, out=sstart)
-    np.take(row_start, srid, out=sj)
-    np.add(sstart, sj, out=sstart)
-    for val, sbuf, out_col in zip(vals, (ws.trq, ws.qrx, ws.qry, ws.qrz), outs):
-        sums = sbuf[:n_seg]
-        np.add.reduceat(val, sstart, out=sums)
-        out_col[st] += sums
+    sums = ws.block("tmp", *tidx.shape)
+    if keep is not None:
+        tidx = tidx[keep]
+    for val, acc in zip(vals, accs):
+        np.add.reduceat(val, rcol, axis=1, out=sums)
+        acc[tidx] += sums if keep is None else sums[keep]
 
 
-def _evaluate_pc_segment(accx, accy, accz, accp,
-                         tview, sv: SourceView,
-                         pc_g: np.ndarray, pc_c: np.ndarray,
-                         group_first: np.ndarray, group_count: np.ndarray,
-                         eps2: float, quadrupole: bool,
-                         counts: InteractionCounts, chunk: int,
-                         ws: KernelWorkspace) -> None:
+def _chunk_runs(gs: np.ndarray) -> np.ndarray:
+    """First pair of each group run of a chunk's (group-sorted) pairs."""
+    return np.concatenate(([0], np.flatnonzero(gs[1:] != gs[:-1]) + 1))
+
+
+def _evaluate_pc_blocks(accs, tview, sv: SourceView,
+                        pc_g: np.ndarray, pc_c: np.ndarray,
+                        group_first: np.ndarray, group_count: np.ndarray,
+                        eps2: float, quadrupole: bool,
+                        counts: InteractionCounts, chunk: int,
+                        ws: KernelWorkspace) -> None:
     if quadrupole and sv.quad is None:
         raise ValueError("quadrupole evaluation needs source quadrupoles")
-    gs_all, cs_all = _sort_pairs(pc_g, pc_c)
-    sizes = group_count[gs_all]
-    cum = np.cumsum(sizes)
-    counts.n_pc += int(cum[-1])
-    starts = _chunk_starts(cum, len(gs_all), chunk)
-    tx, ty, tz = tview
-    for a, b in zip(starts[:-1], starts[1:]):
-        if a >= b:
-            continue
+    gs_all, cs_all = _sort_pairs(pc_g, pc_c, group_count)
+    width = group_count[gs_all]
+    counts.n_pc += int(width.sum())
+    cum = np.arange(1, len(gs_all) + 1, dtype=np.int64)
+    for a, b, w in _blocks(width, cum, chunk):
+        p = b - a
+        ws.ensure(w * p)
         gs = gs_all[a:b]
         cs = cs_all[a:b]
-        # Run layout: after the group sort each group's pairs are
-        # contiguous, so runs == groups and chunk targets are unique.
-        rp, k = _run_layout(gs)
-        grun = gs[rp]
-        mrun = group_count[grun]
-        gfrun = group_first[grun]
-        row_start = np.concatenate(([0], np.cumsum(mrun * k)))
-        total = int(row_start[-1])
-        ws.ensure(total)
-
-        rid, off = _row_expand(ws, row_start, total)
-        kpr = ws.i3[:total]
-        np.take(k, rid, out=kpr)
-        pl = ws.i4[:total]
-        np.floor_divide(off, kpr, out=pl)          # particle slot in group
-        cl = ws.i5[:total]
-        np.multiply(pl, kpr, out=cl)
-        np.subtract(off, cl, out=cl)               # cell slot in run
-        np.take(rp, rid, out=kpr)
-        np.add(kpr, cl, out=cl)                    # pair index in chunk
-        cell = ws.i6[:total]
-        np.take(cs, cl, out=cell)
-        t = off                                    # reuse: off is consumed
-        np.take(gfrun, rid, out=t)
-        np.add(t, pl, out=t)
-
-        dx = ws.dx[:total]
-        dy = ws.dy[:total]
-        dz = ws.dz[:total]
-        m = ws.m[:total]
-        g1 = ws.g1[:total]
-        g2 = ws.g2[:total]
-        _gather_diff(sv.com_x, cell, tx, t, g1, g2, dx)
-        _gather_diff(sv.com_y, cell, ty, t, g1, g2, dy)
-        _gather_diff(sv.com_z, cell, tz, t, g1, g2, dz)
-        np.take(sv.mass, cell, out=m)
+        rcol = _chunk_runs(gs)
+        rows = (ws.cx[:p], ws.cy[:p], ws.cz[:p])
+        for col, row in zip((sv.com_x, sv.com_y, sv.com_z), rows):
+            np.take(col, cs, out=row)
+        (dx, dy, dz), tidx, keep = _separations(
+            ws, tview, rows, gs[rcol], rcol, group_first, group_count, w, p)
+        m = ws.m[:p]
+        np.take(sv.mass, cs, out=m)
+        quad = None
         if quadrupole:
-            qb = (ws.q0[:total], ws.q1[:total], ws.q2[:total],
-                  ws.q3[:total], ws.q4[:total], ws.q5[:total])
-            for col, buf in zip(sv.quad, qb):
-                np.take(col, cell, out=buf)
-            ax, ay, az, ph = pc_interactions_ws(
-                dx, dy, dz, m, qb, eps2, ws.r2[:total], ws.tmp[:total],
-                ws.trq[:total], ws.qrx[:total], ws.qry[:total], ws.qrz[:total])
-        else:
-            ax, ay, az, ph = pc_interactions_ws(
-                dx, dy, dz, m, None, eps2, ws.r2[:total], ws.tmp[:total],
-                ws.trq[:total], ws.qrx[:total], ws.qry[:total], ws.qrz[:total])
-
-        _segment_scatter(ws, (ax, ay, az, ph), gfrun, mrun, k, row_start,
-                         (accx, accy, accz, accp))
+            quad = (ws.q0[:p], ws.q1[:p], ws.q2[:p],
+                    ws.q3[:p], ws.q4[:p], ws.q5[:p])
+            for col, row in zip(sv.quad, quad):
+                np.take(col, cs, out=row)
+        scratch = tuple(ws.block(name, w, p) for name in
+                        ("r2", "tmp", "qrx", "qry", "qrz", "rqr",
+                         "rinv2", "rinv3", "rinv5"))
+        vals = pc_interactions_ws(dx, dy, dz, m, quad, eps2, ws.trq[:p],
+                                  scratch)
+        _reduce_scatter(ws, vals, rcol, tidx, keep, accs)
 
 
-def _evaluate_pp_segment(accx, accy, accz, accp,
-                         tview, sv: SourceView,
-                         pp_g: np.ndarray, pp_c: np.ndarray,
-                         group_first: np.ndarray, group_count: np.ndarray,
-                         eps2: float, counts: InteractionCounts,
-                         exclude_self: bool, chunk: int,
-                         ws: KernelWorkspace) -> None:
-    gs_all, cs_all = _sort_pairs(pp_g, pp_c)
+def _evaluate_pp_blocks(accs, tview, sv: SourceView,
+                        pp_g: np.ndarray, pp_c: np.ndarray,
+                        group_first: np.ndarray, group_count: np.ndarray,
+                        eps2: float, counts: InteractionCounts,
+                        exclude_self: bool, chunk: int,
+                        ws: KernelWorkspace) -> None:
+    gs_all, cs_all = _sort_pairs(pp_g, pp_c, group_count)
     bc_all = sv.body_count[cs_all]
-    sizes = group_count[gs_all] * bc_all
-    cum = np.cumsum(sizes)
-    counts.n_pp += int(cum[-1])
+    width = group_count[gs_all]
+    counts.n_pp += int((width * bc_all).sum())
     if (bc_all == 0).any():
         # Pruned multipole-only leaves contribute no bodies; drop them so
-        # run bookkeeping never sees an empty bodylist.
+        # every pair owns at least one column.
         keep = bc_all > 0
-        gs_all, cs_all, bc_all = gs_all[keep], cs_all[keep], bc_all[keep]
-        sizes = sizes[keep]
-        cum = np.cumsum(sizes)
-        if len(cum) == 0:
+        gs_all, cs_all = gs_all[keep], cs_all[keep]
+        bc_all, width = bc_all[keep], width[keep]
+        if len(gs_all) == 0:
             return
-    starts = _chunk_starts(cum, len(gs_all), chunk)
-    tx, ty, tz = tview
-    for a, b in zip(starts[:-1], starts[1:]):
-        if a >= b:
-            continue
+    for a, b, w in _blocks(width, np.cumsum(bc_all), chunk):
         gs = gs_all[a:b]
         cs = cs_all[a:b]
-        bc = bc_all[a:b]
-        rp, _ = _run_layout(gs)
-        grun = gs[rp]
-        mrun = group_count[grun]
-        gfrun = group_first[grun]
-        # Bodylist: the concatenated particles of every leaf in the
-        # chunk; a run's leaves are adjacent, so its bodies form one
-        # contiguous span of length brun.
-        bl_pair_start = np.concatenate(([0], np.cumsum(bc)))
-        n_bodies = int(bl_pair_start[-1])
-        brun = np.add.reduceat(bc, rp)
-        bl_run_start = bl_pair_start[rp]
-        row_start = np.concatenate(([0], np.cumsum(mrun * brun)))
-        total = int(row_start[-1])
-        ws.ensure(total)
-
-        blid, boff = _row_expand(ws, bl_pair_start, n_bodies)
-        bl = ws.i7[:n_bodies]
-        np.take(sv.body_first[cs], blid, out=bl)
-        np.add(bl, boff, out=bl)
-
-        rid, off = _row_expand(ws, row_start, total)
-        bpr = ws.i3[:total]
-        np.take(brun, rid, out=bpr)
-        pl = ws.i4[:total]
-        np.floor_divide(off, bpr, out=pl)          # particle slot in group
-        blo = ws.i5[:total]
-        np.multiply(pl, bpr, out=blo)
-        np.subtract(off, blo, out=blo)             # body slot in run
-        np.take(bl_run_start, rid, out=bpr)
-        np.add(bpr, blo, out=blo)                  # bodylist index
-        s = ws.i6[:total]
-        np.take(bl, blo, out=s)
-        t = off
-        np.take(gfrun, rid, out=t)
-        np.add(t, pl, out=t)
-
-        dx = ws.dx[:total]
-        dy = ws.dy[:total]
-        dz = ws.dz[:total]
-        m = ws.m[:total]
-        g1 = ws.g1[:total]
-        g2 = ws.g2[:total]
-        _gather_diff(sv.sx, s, tx, t, g1, g2, dx)
-        _gather_diff(sv.sy, s, ty, t, g1, g2, dy)
-        _gather_diff(sv.sz, s, tz, t, g1, g2, dz)
+        cstart = np.concatenate(([0], np.cumsum(bc_all[a:b])))
+        p = int(cstart[-1])
+        ws.ensure(w * p)
+        # Columns are the bodies of the chunk's leaves, leaf by leaf.
+        pid = _run_ids(ws.i1[:p], cstart[:-1])
+        s = ws.i2[:p]
+        np.take(cstart, pid, out=s)
+        np.subtract(ws.arange[:p], s, out=s)
+        first = ws.i3[:p]
+        np.take(sv.body_first[cs], pid, out=first)
+        s += first
+        rpair = _chunk_runs(gs)
+        rcol = cstart[rpair]
+        grun = gs[rpair]
+        rows = (ws.cx[:p], ws.cy[:p], ws.cz[:p])
+        for col, row in zip((sv.sx, sv.sy, sv.sz), rows):
+            np.take(col, s, out=row)
+        (dx, dy, dz), tidx, keep = _separations(
+            ws, tview, rows, grun, rcol, group_first, group_count, w, p)
+        m = ws.m[:p]
         np.take(sv.smass, s, out=m)
+        vals = pp_interactions_ws(dx, dy, dz, m, eps2,
+                                  ws.block("r2", w, p), ws.block("tmp", w, p))
         if exclude_self:
-            mask = ws.bmask[:total]
-            np.equal(t, s, out=mask)
-            m[mask] = 0.0
-        ax, ay, az, ph = pp_interactions_ws(dx, dy, dz, m, eps2,
-                                            ws.r2[:total], ws.tmp[:total])
-        if exclude_self and eps2 == 0.0:
-            ax[mask] = ay[mask] = az[mask] = ph[mask] = 0.0
-
-        _segment_scatter(ws, (ax, ay, az, ph), gfrun, mrun, brun, row_start,
-                         (accx, accy, accz, accp))
+            # Body s is slot s - group_first of its own group; the
+            # unsigned compare folds the "< 0" test into "< group size".
+            rid = _run_ids(ws.rid[:p], rcol)
+            d = ws.i1[:p]
+            np.take(group_first[grun], rid, out=d)
+            np.subtract(s, d, out=d)
+            mcol = ws.i3[:p]
+            np.take(group_count[grun], rid, out=mcol)
+            hit = ws.bmask[:p]
+            np.less(d.view(np.uint64), mcol.view(np.uint64), out=hit)
+            cols = np.flatnonzero(hit)
+            rows = d[cols]
+            for val in vals:
+                val[rows, cols] = 0.0
+        _reduce_scatter(ws, vals, rcol, tidx, keep, accs)
 
 
 # ---------------------------------------------------------------------------
-# Public evaluators: dispatch on scatter strategy.
+# Public evaluators.
 # ---------------------------------------------------------------------------
 
 def evaluate_pc_pairs(acc: np.ndarray, phi: np.ndarray,
@@ -620,24 +484,19 @@ def evaluate_pc_pairs(acc: np.ndarray, phi: np.ndarray,
                       eps2: float, quadrupole: bool,
                       counts: InteractionCounts,
                       chunk: int = DEFAULT_CHUNK,
-                      scatter: str = "segment",
                       workspace: KernelWorkspace | None = None,
                       sview: SourceView | None = None,
                       tview=None) -> None:
     """Evaluate particle-cell pairs, accumulating into acc/phi (sorted order)."""
+    _check_chunk(chunk)
     if len(pc_g) == 0:
-        return
-    if scatter == "bincount":
-        _evaluate_pc_bincount(acc, phi, tpos, source, pc_g, pc_c,
-                              group_first, group_count, eps2, quadrupole,
-                              counts, chunk)
         return
     ws = workspace if workspace is not None else KernelWorkspace(chunk)
     sv = sview if sview is not None else SourceView.build(source)
     tv = tview if tview is not None else target_columns(tpos)
-    _evaluate_pc_segment(acc[:, 0], acc[:, 1], acc[:, 2], phi, tv, sv,
-                         pc_g, pc_c, group_first, group_count, eps2,
-                         quadrupole, counts, chunk, ws)
+    _evaluate_pc_blocks((acc[:, 0], acc[:, 1], acc[:, 2], phi), tv, sv,
+                        pc_g, pc_c, group_first, group_count, eps2,
+                        quadrupole, counts, chunk, ws)
 
 
 def evaluate_pp_pairs(acc: np.ndarray, phi: np.ndarray,
@@ -650,7 +509,6 @@ def evaluate_pp_pairs(acc: np.ndarray, phi: np.ndarray,
                       counts: InteractionCounts,
                       exclude_self: bool,
                       chunk: int = DEFAULT_CHUNK,
-                      scatter: str = "segment",
                       workspace: KernelWorkspace | None = None,
                       sview: SourceView | None = None,
                       tview=None) -> None:
@@ -660,12 +518,8 @@ def evaluate_pp_pairs(acc: np.ndarray, phi: np.ndarray,
     which is required when targets and sources are the same particle set
     (the group inevitably walks into its own leaves).
     """
+    _check_chunk(chunk)
     if len(pp_g) == 0:
-        return
-    if scatter == "bincount":
-        _evaluate_pp_bincount(acc, phi, tpos, spos, smass, pp_g, pp_c,
-                              group_first, group_count, body_first,
-                              body_count, eps2, counts, exclude_self, chunk)
         return
     ws = workspace if workspace is not None else KernelWorkspace(chunk)
     if sview is None or sview.sx is None:
@@ -679,9 +533,9 @@ def evaluate_pp_pairs(acc: np.ndarray, phi: np.ndarray,
     else:
         sv = sview
     tv = tview if tview is not None else target_columns(tpos)
-    _evaluate_pp_segment(acc[:, 0], acc[:, 1], acc[:, 2], phi, tv, sv,
-                         pp_g, pp_c, group_first, group_count, eps2,
-                         counts, exclude_self, chunk, ws)
+    _evaluate_pp_blocks((acc[:, 0], acc[:, 1], acc[:, 2], phi), tv, sv,
+                        pp_g, pp_c, group_first, group_count, eps2,
+                        counts, exclude_self, chunk, ws)
 
 
 def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
@@ -691,7 +545,6 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
                 source_pos: np.ndarray | None = None,
                 source_mass: np.ndarray | None = None,
                 chunk: int = DEFAULT_CHUNK,
-                scatter: str = "segment",
                 workspace: KernelWorkspace | None = None) -> TreeWalkResult:
     """Compute gravitational forces on ``tree``'s particles.
 
@@ -711,10 +564,10 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
         Plummer softening length.
     quadrupole:
         Evaluate quadrupole corrections (65-flop kernel) or monopole only.
-    chunk, scatter, workspace:
-        Evaluation strategy knobs (see module docstring).  Reuse one
-        ``workspace`` across calls to keep steady-state evaluation
-        allocation-free.
+    chunk, workspace:
+        Block elements per evaluation chunk and the scratch arena (see
+        module docstring).  Reuse one ``workspace`` across calls to keep
+        steady-state evaluation allocation-free.
 
     Returns
     -------
@@ -724,9 +577,7 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
     mass = np.asarray(mass, dtype=np.float64)
     if tree.group_first is None:
         raise ValueError("make_groups must run on the target tree first")
-    if scatter not in SCATTER_MODES:
-        raise ValueError(f"unknown scatter {scatter!r}; "
-                         f"expected one of {SCATTER_MODES}")
+    _check_chunk(chunk)
 
     self_gravity = source is None
     if self_gravity:
@@ -756,23 +607,19 @@ def tree_forces(tree: Octree, pos: np.ndarray, mass: np.ndarray,
     counts = InteractionCounts(quadrupole=quadrupole)
     eps2 = float(eps) * float(eps)
 
-    if scatter == "segment":
-        ws = workspace if workspace is not None else KernelWorkspace(chunk)
-        sv = SourceView.build(source, src_pos_sorted, src_mass_sorted)
-        tv = (sv.sx, sv.sy, sv.sz) if self_gravity else target_columns(tpos)
-    else:
-        ws = sv = tv = None
+    ws = workspace if workspace is not None else KernelWorkspace(chunk)
+    sv = SourceView.build(source, src_pos_sorted, src_mass_sorted)
+    tv = (sv.sx, sv.sy, sv.sz) if self_gravity else target_columns(tpos)
 
     evaluate_pc_pairs(acc_sorted, phi_sorted, tpos, source, pc_g, pc_c,
                       tree.group_first, tree.group_count, eps2, quadrupole,
-                      counts, chunk, scatter=scatter, workspace=ws,
-                      sview=sv, tview=tv)
+                      counts, chunk, workspace=ws, sview=sv, tview=tv)
     evaluate_pp_pairs(acc_sorted, phi_sorted, tpos, src_pos_sorted,
                       src_mass_sorted, pp_g, pp_c,
                       tree.group_first, tree.group_count,
                       source.body_first, source.body_count, eps2,
                       counts, exclude_self=self_gravity, chunk=chunk,
-                      scatter=scatter, workspace=ws, sview=sv, tview=tv)
+                      workspace=ws, sview=sv, tview=tv)
 
     # Scatter back to the original particle order.
     acc = np.empty_like(acc_sorted)

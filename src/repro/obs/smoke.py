@@ -46,9 +46,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="deterministic logical timestamps instead of "
                              "wall time (byte-reproducible trace)")
     parser.add_argument("--reference-pipeline", action="store_true",
-                        help="run the pre-fast-path force pipeline "
-                             "(per-source walks, bincount scatter, cold "
-                             "sorts) instead of the default fast path -- "
+                        help="run the reference force pipeline "
+                             "(per-source walks, cold sorts) instead of "
+                             "the default fast path -- "
                              "diff the two traces with repro.obs.report "
                              "(docs/PERFORMANCE.md)")
     args = parser.parse_args(argv)
@@ -62,8 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     particles = plummer_model(args.n, seed=args.seed)
     if args.reference_pipeline:
         config = SimulationConfig(theta=args.theta, batch_sources=False,
-                                  sort_reuse=False, scatter="bincount",
-                                  chunk=1 << 21)
+                                  sort_reuse=False)
     else:
         config = SimulationConfig(theta=args.theta)
     sims = run_parallel_simulation(args.ranks, particles, config,

@@ -25,7 +25,7 @@ counters attached, using the *same* clock readings -- so the trace and
 the driver's :class:`~repro.core.step.StepBreakdown` agree exactly.
 
 Every rank builds its tree cold each step and walks every source from
-the root; all evaluation runs through the float64 workspace evaluators
+the root; all evaluation runs through the float64 group-blocked evaluators
 of :mod:`repro.gravity.treewalk`.  Full LETs are drained in rank order
 under a deterministic tracer (so traced runs replay byte-identically)
 and in arrival order otherwise.
@@ -225,23 +225,17 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
     counts_let = InteractionCounts(quadrupole=config.quadrupole)
     gmin, gmax = group_aabbs(tree, spos)
 
-    segment = config.scatter == "segment"
-    ws = None
-    tview = None
-    if segment:
-        ws = workspace if workspace is not None \
-            else KernelWorkspace(config.chunk)
-        ws.ensure(config.chunk)
-        tview = target_columns(spos)
-    eval_kw = dict(chunk=config.chunk, scatter=config.scatter,
-                   workspace=ws, tview=tview)
+    ws = workspace if workspace is not None else KernelWorkspace(config.chunk)
+    ws.ensure(config.chunk)
+    eval_kw = dict(chunk=config.chunk, workspace=ws,
+                   tview=target_columns(spos))
     max_frontier = 0
 
     # Local tree first (the GPU starts on local work while LETs arrive).
     t0 = now()
     pc_g, pc_c, pp_g, pp_c, mf = walk_interaction_lists(tree, gmin, gmax)
     max_frontier = max(max_frontier, mf)
-    lview = SourceView.build(tree, spos=spos, smass=smass) if segment else None
+    lview = SourceView.build(tree, spos=spos, smass=smass)
     evaluate_pc_pairs(acc_sorted, phi_sorted, spos, tree, pc_g, pc_c,
                       tree.group_first, tree.group_count, eps2,
                       config.quadrupole, counts_local, sview=lview, **eval_kw)
@@ -259,9 +253,8 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
         t0 = now()
         pg1, pcl1, pg2, pcl2, mf = walk_interaction_lists(source, gmin, gmax)
         max_frontier = max(max_frontier, mf)
-        sview = (SourceView.build(source, spos=source.part_pos,
-                                  smass=source.part_mass)
-                 if segment else None)
+        sview = SourceView.build(source, spos=source.part_pos,
+                                 smass=source.part_mass)
         evaluate_pc_pairs(acc_sorted, phi_sorted, spos, source, pg1, pcl1,
                           tree.group_first, tree.group_count, eps2,
                           config.quadrupole, counts_let, sview=sview,
@@ -291,9 +284,8 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
         max_frontier = max(max_frontier, mf)
         pc_gs, pc_cs, pc_starts = split_by_source(forest, fpc_g, fpc_c)
         pp_gs, pp_cs, pp_starts = split_by_source(forest, fpp_g, fpp_c)
-        sview = (SourceView.build(forest, spos=forest.part_pos,
-                                  smass=forest.part_mass)
-                 if segment else None)
+        sview = SourceView.build(forest, spos=forest.part_pos,
+                                 smass=forest.part_mass)
         for i in range(forest.n_sources):
             a, b = pc_starts[i], pc_starts[i + 1]
             evaluate_pc_pairs(acc_sorted, phi_sorted, spos, forest,

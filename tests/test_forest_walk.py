@@ -1,5 +1,5 @@
-"""Fast-path force pipeline equivalence: batched forest walks, segment
-scatter and the sort cache.
+"""Fast-path force pipeline equivalence: batched forest walks and the
+sort cache.
 
 The tentpole invariant: every fast-path knob is a pure optimisation.
 The batched multi-source walk must produce *byte-identical* interaction
@@ -16,7 +16,6 @@ from repro.core.parallel_simulation import ParallelSimulation
 from repro.gravity import (
     SourceForest,
     split_by_source,
-    tree_forces,
     walk_interaction_lists,
 )
 from repro.gravity.forest import walk_forest_interaction_lists
@@ -101,15 +100,6 @@ def test_batched_forest_matches_after_steps():
     assert fast[0].tobytes() == ref[0].tobytes()
 
 
-def test_segment_scatter_matches_bincount_counts_exactly():
-    particles = plummer_model(N, seed=13)
-    seg = _forces(particles, _cfg(scatter="segment"), 4)
-    binc = _forces(particles, _cfg(scatter="bincount", batch_sources=True), 4)
-    assert seg[2] == binc[2]
-    # Different summation order: equal to tight tolerance, not bitwise.
-    np.testing.assert_allclose(seg[0], binc[0], rtol=1e-12, atol=1e-13)
-
-
 def test_sort_reuse_off_matches_on():
     # Plummer keys are distinct, so tie-breaking cannot bite: reusing
     # the sort permutation must reproduce the cold-sort forces exactly.
@@ -182,33 +172,18 @@ def test_forest_rejects_zero_sources():
         SourceForest.concatenate([], [])
 
 
-# -- serial fast path -----------------------------------------------------
-
-def test_serial_segment_matches_bincount():
-    rng = np.random.default_rng(3)
-    pos = rng.normal(size=(2500, 3))
-    mass = rng.uniform(0.5, 1.0, 2500)
-    tree = build_octree(pos, nleaf=16)
-    compute_moments(tree, pos, mass)
-    make_groups(tree, 64)
-    a = tree_forces(tree, pos, mass, theta=0.5, eps=0.01, scatter="segment")
-    b = tree_forces(tree, pos, mass, theta=0.5, eps=0.01, scatter="bincount")
-    assert a.counts.n_pp == b.counts.n_pp
-    assert a.counts.n_pc == b.counts.n_pc
-    assert a.max_frontier == b.max_frontier
-    np.testing.assert_allclose(a.acc, b.acc, rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(a.phi, b.phi, rtol=1e-12, atol=1e-13)
-
-
 def test_config_validates_fast_path_knobs():
     nan = float("nan")
-    for kw in (dict(scatter="nope"), dict(chunk=0),
+    for kw in (dict(chunk=0),
                # NaN passes every "<= 0" bound check, so each float
                # knob must be rejected as non-finite explicitly.
                dict(theta=nan), dict(dt=nan), dict(softening=nan),
                dict(watchdog_grace=nan)):
         with pytest.raises(ValueError):
             SimulationConfig(**kw)
+    # The scatter knob is gone with the bincount path it selected.
+    with pytest.raises(TypeError):
+        SimulationConfig(scatter="segment")
 
 
 def test_sort_reuse_bitwise_under_forced_rebalance():

@@ -172,10 +172,31 @@ def test_workspace_kernels_match_allocating_forms():
     ref = pc_interactions(d[:, 0], d[:, 1], d[:, 2], m, q, eps2)
     buf = [c.copy() for c in (d[:, 0], d[:, 1], d[:, 2], m)]
     qcols = tuple(q[:, i].copy() for i in range(6))
-    scratch = [np.empty(n) for _ in range(6)]
-    got = pc_interactions_ws(*buf, qcols, eps2, *scratch)
+    scratch = [np.empty(n) for _ in range(9)]
+    got = pc_interactions_ws(*buf, qcols, eps2, np.empty(n), scratch)
     for a, b in zip(got, ref):
         assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
+
+
+def test_workspace_pc_kernel_broadcasts_cell_rows():
+    """(P,) cell operands against a (w, P) separation block: row j is
+    the allocating kernel on target slot j's separations."""
+    from repro.gravity.kernels import pc_interactions_ws
+    rng = np.random.default_rng(23)
+    w, p = 5, 40
+    d = rng.normal(size=(3, w, p)) * 3
+    m = rng.uniform(0.1, 2.0, p)
+    q = rng.normal(size=(p, 6)) * 0.1
+    for quad in (q, None):
+        got = pc_interactions_ws(
+            *(c.copy() for c in d), m.copy(),
+            None if quad is None else tuple(quad[:, i].copy()
+                                            for i in range(6)),
+            0.01, np.empty(p), [np.empty((w, p)) for _ in range(9)])
+        for j in range(w):
+            ref = pc_interactions(d[0, j], d[1, j], d[2, j], m, quad, 0.01)
+            for a, b in zip(got, ref):
+                assert np.allclose(a[j], b, rtol=1e-13, atol=1e-15)
 
 
 def test_point_forces_eps_zero_warning_clean():

@@ -195,3 +195,25 @@ def test_empty_pair_lists_are_noops():
                       counts, exclude_self=True)
     assert counts.n_pp == counts.n_pc == 0
     assert not acc.any() and not phi.any()
+
+
+def test_chunk_below_one_rejected():
+    # chunk sizes the evaluation blocks; 0 used to divide by zero deep
+    # inside the chunk layout instead of failing at the entry point.
+    ps = plummer_model(64, seed=10)
+    tree = build_octree(ps.pos, nleaf=8)
+    compute_moments(tree, ps.pos, ps.mass)
+    make_groups(tree, 16)
+    with pytest.raises(ValueError, match="chunk"):
+        tree_forces(tree, ps.pos, ps.mass, theta=0.4, chunk=0)
+    empty = np.empty(0, dtype=np.int64)
+    acc, phi, counts = np.zeros((64, 3)), np.zeros(64), InteractionCounts()
+    with pytest.raises(ValueError, match="chunk"):
+        evaluate_pc_pairs(acc, phi, ps.pos, tree, empty, empty,
+                          tree.group_first, tree.group_count, 1e-4, True,
+                          counts, chunk=0)
+    with pytest.raises(ValueError, match="chunk"):
+        evaluate_pp_pairs(acc, phi, ps.pos, ps.pos, ps.mass, empty, empty,
+                          tree.group_first, tree.group_count,
+                          tree.body_first, tree.body_count, 1e-4,
+                          counts, exclude_self=True, chunk=0)

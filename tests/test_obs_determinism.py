@@ -48,8 +48,8 @@ def _traced_run(cfg, world=None, transport="threads", n_ranks=N_RANKS):
 
 
 def test_parallel_trace_byte_identical_across_runs(cfg):
-    # cfg defaults include the fast path (batched forest walks, segment
-    # scatter, sort reuse), so this pins its determinism too.
+    # cfg defaults include the fast path (batched forest walks, sort
+    # reuse), so this pins its determinism too.
     a = chrome_trace_json(_traced_run(cfg))
     b = chrome_trace_json(_traced_run(cfg))
     assert a == b
@@ -58,8 +58,7 @@ def test_parallel_trace_byte_identical_across_runs(cfg):
 def test_reference_force_path_trace_byte_identical():
     """The pre-fast-path pipeline stays deterministic as well."""
     ref = SimulationConfig(theta=0.6, softening=0.02, dt=0.01,
-                           batch_sources=False, scatter="bincount",
-                           sort_reuse=False)
+                           batch_sources=False, sort_reuse=False)
     assert chrome_trace_json(_traced_run(ref)) == \
         chrome_trace_json(_traced_run(ref))
 

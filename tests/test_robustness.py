@@ -138,3 +138,45 @@ def test_simulation_with_zero_softening():
     sim = Simulation(ps, SimulationConfig(theta=0.5, softening=0.0, dt=1e-4))
     sim.step()
     assert np.all(np.isfinite(sim.particles.pos))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+def test_nonfinite_state_stops_serial_step():
+    """64 coincident particles at eps = 0 have no finite force; the step
+    that produces the non-finite state raises instead of letting it
+    spread silently through later steps."""
+    ps = ParticleSet(pos=np.zeros((64, 3)), vel=np.zeros((64, 3)),
+                     mass=np.ones(64))
+    sim = Simulation(ps, SimulationConfig(softening=0.0, dt=0.01))
+    with pytest.raises(FloatingPointError, match=r"step 0.*first id 0"):
+        sim.step()
+
+
+def test_nonfinite_state_stops_parallel_step():
+    # The clump sits inside a spread population: an all-coincident set
+    # would leave one of two ranks empty, which the decomposition does
+    # not support yet.
+    from repro.core.parallel_simulation import run_parallel_simulation
+    rng = np.random.default_rng(5)
+    pos = np.vstack([rng.normal(size=(200, 3)), np.full((64, 3), 0.3)])
+    ps = ParticleSet(pos=pos, vel=np.zeros((264, 3)), mass=np.ones(264))
+    cfg = SimulationConfig(softening=0.0, dt=0.01)
+    with pytest.raises(RuntimeError) as info:
+        run_parallel_simulation(2, ps, cfg, n_steps=1,
+                                world=SimWorld(2, timeout=30.0))
+    assert isinstance(info.value.__cause__, FloatingPointError)
+    assert "first id 200" in str(info.value.__cause__)
+
+
+def test_finite_state_check_passes_clean_runs():
+    from repro.core.parallel_simulation import run_parallel_simulation
+    rng = np.random.default_rng(6)
+
+    def spread():
+        return ParticleSet(pos=rng.normal(size=(264, 3)),
+                           vel=np.zeros((264, 3)), mass=np.ones(264))
+
+    cfg = SimulationConfig(softening=0.0, dt=0.01)
+    Simulation(spread(), cfg).evolve(2)
+    run_parallel_simulation(2, spread(), cfg, n_steps=2,
+                            world=SimWorld(2, timeout=30.0))
