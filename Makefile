@@ -12,7 +12,8 @@ test:
 # slot or self-pair that produces inf/NaN fails instead of warning.
 test-kernels:
 	pytest -q -W error::RuntimeWarning tests/test_gravity_blocked.py \
-	       tests/test_gravity_treewalk.py tests/test_gravity_kernels.py
+	       tests/test_gravity_treewalk.py tests/test_gravity_kernels.py \
+	       tests/test_forest_walk.py
 
 # Full fault-injection + differential-verification harness, including the
 # harness_slow matrix the default run skips (see docs/TESTING.md).
@@ -50,9 +51,8 @@ test-transport:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Fast-path vs reference force pipeline: golden interaction-count check
-# plus the per-phase before/after table (docs/PERFORMANCE.md).  Scale
-# the timed comparison with STEP_BENCH_N / STEP_BENCH_STEPS.
+# Golden interaction-count check of a small 4-rank step against the
+# committed benchmarks/step_pipeline_golden.json (docs/PERFORMANCE.md).
 bench-step:
 	pytest benchmarks/bench_step_pipeline.py -q
 

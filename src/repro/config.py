@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 from .constants import PAPER_NLEAF, PAPER_THETA
-from .gravity.treewalk import DEFAULT_CHUNK
 
 
 @dataclasses.dataclass
@@ -28,21 +28,10 @@ class SimulationConfig:
     quadrupole: bool = True
     force_method: str = "tree"       # "tree" or "direct" (O(N^2) oracle)
 
-    # --- Force pipeline knobs -------------------------------------------
-    #: Block elements (target slot x source column) per evaluation chunk:
-    #: cache blocking of the interaction kernels.
-    chunk: int = DEFAULT_CHUNK
-    #: Walk all remote boundary/LET structures in one concatenated
-    #: forest pass instead of one walk per source.
-    batch_sources: bool = True
-    #: Seed each step's tree build with the previous step's SFC sort
-    #: permutation (verified/repaired instead of a cold argsort).
-    sort_reuse: bool = True
-
     # --- Execution substrate --------------------------------------------
     #: SimMPI transport for parallel runs: "threads" (in-process,
-    #: deterministic, GIL-bound), "process" (forked ranks + shared
-    #: memory, true multi-core) or "mpi4py" (real MPI under mpiexec).
+    #: deterministic, GIL-bound) or "process" (forked ranks + shared
+    #: memory, true multi-core).
     #: See :mod:`repro.simmpi.transport` and docs/TRANSPORTS.md.
     transport: str = "threads"
     #: Process-transport watchdog: seconds between noticing a worker
@@ -54,6 +43,17 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.force_method not in ("tree", "direct"):
             raise ValueError(f"unknown force_method {self.force_method!r}")
+        # bool is an int subclass, so it is rejected explicitly: a
+        # leaf capacity of True is a typo, not a size.
+        for name in ("nleaf", "ncrit"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) \
+                    or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, "
+                                 f"got {value!r}")
+        if not isinstance(self.quadrupole, bool):
+            raise ValueError(f"quadrupole must be a bool, "
+                             f"got {self.quadrupole!r}")
         # NaN compares False against every bound, so finiteness is
         # checked first: a NaN theta never accepts a cell and a NaN dt
         # or softening poisons every position after one step.
@@ -71,8 +71,6 @@ class SimulationConfig:
             raise ValueError(f"unknown MAC {self.mac!r}")
         if self.curve not in ("hilbert", "morton"):
             raise ValueError(f"unknown curve {self.curve!r}")
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
         from .simmpi.transport import TRANSPORTS
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}; "

@@ -50,7 +50,7 @@ from .validation import check_finite_state
 class RankResult:
     """Picklable end-of-run snapshot of one rank's simulation.
 
-    Process-transport (and mpi4py) runs return these instead of live
+    Process-transport runs return these instead of live
     :class:`ParallelSimulation` objects: the driver, with its
     communicator and caches, cannot cross a process boundary, but
     everything a caller inspects after the run can.  The attribute
@@ -295,13 +295,8 @@ class ParallelSimulation:
         t0 = self._now()
         box, box_changed = self._update_box()
         keys = box.keys(self.particles.pos, self.config.curve)
-        if self.config.sort_reuse:
-            order = self._sort_cache.order_for(keys,
-                                               epoch=self._layout_epoch)
-            sort_mode = self._sort_cache.last_mode
-        else:
-            order = np.argsort(keys, kind="stable")
-            sort_mode = "cold"
+        order = self._sort_cache.order_for(keys, epoch=self._layout_epoch)
+        sort_mode = self._sort_cache.last_mode
         weights = self._weights if self._weights is not None and \
             len(self._weights) == len(order) else None
         if sort_mode != "identity":
@@ -366,13 +361,12 @@ class ParallelSimulation:
         (the paper hides it), the rest map one-to-one.
         """
         if self._workspace is None:
-            self._workspace = KernelWorkspace(self.config.chunk)
+            self._workspace = KernelWorkspace()
         keys, self._keys = self._keys, None
         result = distributed_forces(
             self.comm, self.particles, self.config, self._box,
             step=self.step_count, keys=keys,
-            sort_cache=self._tree_sort_cache if self.config.sort_reuse
-            else None,
+            sort_cache=self._tree_sort_cache,
             workspace=self._workspace,
             sort_epoch=self._layout_epoch)
         self._acc, self._phi = result.acc, result.phi

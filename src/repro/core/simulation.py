@@ -130,12 +130,10 @@ class Simulation:
         t0 = self._now()
         box = BoundingBox.from_positions(ps.pos)
         keys = box.keys(ps.pos, cfg.curve)
-        order = self._sort_cache.order_for(keys) if cfg.sort_reuse else None
+        order = self._sort_cache.order_for(keys)
         t1 = self._now()
         bd.sorting += t1 - t0
-        sort_attr = {} if order is None else \
-            {"sort_mode": self._sort_cache.last_mode}
-        self._rec("sorting", t0, t1, **sort_attr)
+        self._rec("sorting", t0, t1, sort_mode=self._sort_cache.last_mode)
 
         tree = build_octree(ps.pos, nleaf=cfg.nleaf, curve=cfg.curve,
                             box=box, keys=keys, order=order)
@@ -150,11 +148,11 @@ class Simulation:
         self._rec("tree_properties", t2, t3)
 
         if self._workspace is None:
-            self._workspace = KernelWorkspace(cfg.chunk)
+            self._workspace = KernelWorkspace()
         result = tree_forces(tree, ps.pos, ps.mass, theta=cfg.theta,
                              eps=cfg.softening, mac=cfg.mac,
                              quadrupole=cfg.quadrupole,
-                             chunk=cfg.chunk, workspace=self._workspace)
+                             workspace=self._workspace)
         t4 = self._now()
         bd.gravity_local += t4 - t3
         self._rec("gravity_local", t3, t4, n_particles=ps.n,

@@ -31,7 +31,6 @@ from .treewalk import (
 )
 from .forest import (
     SourceForest,
-    split_by_source,
     walk_forest_interaction_lists,
 )
 
@@ -52,5 +51,4 @@ __all__ = [
     "DEFAULT_CHUNK",
     "SourceForest",
     "walk_forest_interaction_lists",
-    "split_by_source",
 ]

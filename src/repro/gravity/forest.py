@@ -1,24 +1,19 @@
-"""Batched multi-source tree walks over a concatenated cell forest.
+"""Multi-source tree walks over a concatenated cell forest.
 
-The distributed force phase (Sec. III-B2) historically ran one frontier
-walk plus one chunked evaluation per remote structure: P-1 boundary/LET
-walks per rank per step, each with a tiny pair list and the full fixed
-cost of a traversal.  A :class:`SourceForest` concatenates any number of
-LET-like structures into one cell array whose roots seed a single
-frontier, so every remote source is walked in one pass -- the "process
-them as they arrive" of the paper collapses to one batch per drain of
-arrived LETs.
+The distributed force phase (Sec. III-B2) walks the local tree first and
+then every remote structure -- the sufficient boundaries plus the full
+LETs, drained once in rank order.  A :class:`SourceForest` concatenates
+those LET-like structures into one cell array whose roots seed a single
+frontier, so every remote source is walked in one pass and its pair
+lists are evaluated in one call per interaction kind: the forest
+exposes the same attributes as a single source, and the group-blocked
+evaluators sort the pairs by (group size, group) themselves.
 
-Correctness rests on an ordering property of
-:func:`repro.gravity.treewalk.walk_frontier`: mask selection and
-``np.repeat`` preserve relative order, so a frontier seeded source-major
-produces pair lists that are the per-source single-walk lists
-interleaved level-major.  :func:`split_by_source` (a stable sort on the
-source id recovered from the cell index) therefore yields each source's
-pairs in *exactly* the order a dedicated walk would have produced --
-evaluating the segments per source in forest order gives bitwise the
-same forces and byte-identical interaction counts as the per-source
-path (``tests/test_forest_walk.py`` pins this at 1-8 ranks).
+Interaction counts equal the sum over per-source walks exactly (mask
+selection and ``np.repeat`` keep every source's pairs, only
+interleaved); forces agree with per-source evaluation to float64
+round-off, bitwise when there is one remote source
+(``tests/test_forest_walk.py`` pins both at 1-8 ranks).
 """
 
 from __future__ import annotations
@@ -109,10 +104,9 @@ def walk_forest_interaction_lists(forest: SourceForest,
     """Walk every source of the forest in one frontier pass.
 
     The initial frontier is source-major (for each source in forest
-    order: every target group against that source's root), which is
-    what makes :func:`split_by_source` exact.  Returns the same tuple
-    as :func:`~repro.gravity.treewalk.walk_interaction_lists`, with
-    forest-global cell indices and the *combined* peak frontier.
+    order: every target group against that source's root).  Returns the
+    same tuple as :func:`~repro.gravity.treewalk.walk_interaction_lists`,
+    with forest-global cell indices and the *combined* peak frontier.
     """
     n_groups = len(gmin)
     g = np.tile(np.arange(n_groups, dtype=np.int64), forest.n_sources)
@@ -120,22 +114,3 @@ def walk_forest_interaction_lists(forest: SourceForest,
     return walk_frontier(forest.first_child, forest.n_children,
                          forest.com, forest.r_crit, gmin, gmax, g, c)
 
-
-def split_by_source(forest: SourceForest, pg: np.ndarray, pc: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable-partition a forest pair list by source.
-
-    Returns ``(pg_sorted, pc_sorted, starts)`` where source ``i``'s
-    pairs are ``[starts[i], starts[i+1])`` -- in exactly the order a
-    dedicated single-source walk would have produced them (level-major,
-    ascending in ``g`` within each level).
-    """
-    if len(pg) == 0:
-        starts = np.zeros(forest.n_sources + 1, dtype=np.int64)
-        return pg, pc, starts
-    src = np.searchsorted(forest.cell_offsets, pc, side="right") - 1
-    order = np.argsort(src, kind="stable")
-    src_sorted = src[order]
-    starts = np.searchsorted(
-        src_sorted, np.arange(forest.n_sources + 1, dtype=np.int64))
-    return pg[order], pc[order], starts

@@ -180,10 +180,8 @@ def walk_frontier(first_child: np.ndarray, n_children: np.ndarray,
     frontier so that :mod:`repro.gravity.forest` can seed it with every
     remote source at once.  Mask selection and ``np.repeat`` both
     preserve relative order, so the pair lists of a multi-source
-    frontier are the per-source lists interleaved level-major -- a
-    stable sort by source id recovers each source's single-walk pair
-    order exactly (the batched-walk equivalence the fast path relies
-    on).
+    frontier are the per-source lists interleaved level-major: the
+    same pairs, hence the same interaction counts.
     """
     pc_g_parts: list[np.ndarray] = []
     pc_c_parts: list[np.ndarray] = []

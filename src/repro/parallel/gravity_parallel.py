@@ -10,13 +10,11 @@ Implements the full "Compute gravity" phase of Table II:
    remote ranks can use its boundary directly and which need a full LET
    (typically only the ~40 nearest neighbours);
 4. full LETs are exchanged point-to-point;
-5. forces are the sum of the local-tree walk plus the remote
-   contributions -- by default every batch of arrived structures
-   (boundaries or LETs) is concatenated into one
-   :class:`~repro.gravity.forest.SourceForest` and walked in a single
-   pass ("process them as they arrive", amortized over the whole
-   batch); ``config.batch_sources=False`` restores the reference
-   one-walk-per-source path, which produces bitwise-identical forces.
+5. forces are the sum of the local-tree walk, done first while LETs are
+   in flight, plus the remote contributions: the sufficient boundaries
+   and the full LETs, drained once in rank order, are concatenated into
+   one :class:`~repro.gravity.forest.SourceForest` that is walked and
+   evaluated in a single pass.
 
 Every sub-phase is timed into :attr:`DistributedForceResult.phases` and,
 when the communicator's world carries an enabled tracer
@@ -26,9 +24,8 @@ the driver's :class:`~repro.core.step.StepBreakdown` agree exactly.
 
 Every rank builds its tree cold each step and walks every source from
 the root; all evaluation runs through the float64 group-blocked evaluators
-of :mod:`repro.gravity.treewalk`.  Full LETs are drained in rank order
-under a deterministic tracer (so traced runs replay byte-identically)
-and in arrival order otherwise.
+of :mod:`repro.gravity.treewalk`.  Traced and untraced runs execute the
+same program.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from ..config import SimulationConfig
 from ..gravity.flops import InteractionCounts
 from ..gravity.forest import (
     SourceForest,
-    split_by_source,
     walk_forest_interaction_lists,
 )
 from ..gravity.treewalk import (
@@ -99,15 +95,15 @@ class DistributedForceResult:
     tree: Octree
     #: Wall-clock seconds this rank spent *blocked* waiting for LET
     #: messages -- the measured analogue of Table II's "Non-hidden LET
-    #: comm" row.  LETs that arrived while the rank was walking other
-    #: sources cost nothing here: that communication was hidden.
+    #: comm" row.  LETs that arrived while the rank walked its local
+    #: tree cost nothing here: that communication was hidden.
     recv_wait_seconds: float = 0.0
     #: Seconds per sub-phase (keys: :data:`FORCE_PHASES`); the driver
     #: maps these onto Table II's :class:`StepBreakdown` rows.
     phases: dict[str, float] = dataclasses.field(default_factory=dict)
-    #: Peak frontier width (group, cell) pairs over every walk this
-    #: rank ran this step (local + remote; the forest walk reports its
-    #: combined peak).  Sizes the walk's transient memory high-water.
+    #: Peak frontier width (group, cell) pairs over the two walks this
+    #: rank ran this step (local tree and remote forest).  Sizes the
+    #: walk's transient memory high-water.
     max_frontier: int = 0
 
     @property
@@ -133,8 +129,8 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
 
     ``keys`` are this rank's SFC keys for ``particles.pos`` if the
     driver already has them (e.g. carried through the exchange);
-    ``sort_cache`` reuses the previous step's sort permutation when
-    ``config.sort_reuse`` is on; ``workspace`` is a persistent
+    ``sort_cache`` reuses the previous step's sort permutation (the
+    tree build sorts cold without one); ``workspace`` is a persistent
     :class:`KernelWorkspace` so steady-state evaluation allocates
     nothing (one is created locally when absent).
 
@@ -172,7 +168,7 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
     if keys is None:
         keys = global_box.keys(particles.pos, config.curve)
     order = None
-    if config.sort_reuse and sort_cache is not None:
+    if sort_cache is not None:
         order = sort_cache.order_for(keys, epoch=sort_epoch)
     tree = build_octree(particles.pos, nleaf=config.nleaf,
                         curve=config.curve, box=global_box, keys=keys,
@@ -225,16 +221,13 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
     counts_let = InteractionCounts(quadrupole=config.quadrupole)
     gmin, gmax = group_aabbs(tree, spos)
 
-    ws = workspace if workspace is not None else KernelWorkspace(config.chunk)
-    ws.ensure(config.chunk)
-    eval_kw = dict(chunk=config.chunk, workspace=ws,
-                   tview=target_columns(spos))
-    max_frontier = 0
+    ws = workspace if workspace is not None else KernelWorkspace()
+    eval_kw = dict(workspace=ws, tview=target_columns(spos))
 
     # Local tree first (the GPU starts on local work while LETs arrive).
     t0 = now()
-    pc_g, pc_c, pp_g, pp_c, mf = walk_interaction_lists(tree, gmin, gmax)
-    max_frontier = max(max_frontier, mf)
+    pc_g, pc_c, pp_g, pp_c, max_frontier = walk_interaction_lists(
+        tree, gmin, gmax)
     lview = SourceView.build(tree, spos=spos, smass=smass)
     evaluate_pc_pairs(acc_sorted, phi_sorted, spos, tree, pc_g, pc_c,
                       tree.group_first, tree.group_count, eps2,
@@ -247,128 +240,39 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
         n_pp=counts_local.n_pp, n_pc=counts_local.n_pc,
         quadrupole=config.quadrupole)
 
-    def walk_remote(source, src_rank: int) -> None:
-        nonlocal max_frontier
-        pp0, pc0 = counts_let.n_pp, counts_let.n_pc
+    # Remote contributions (Sec. III-B2).  The sufficient boundaries are
+    # here already; full LETs are received in rank order, and only the
+    # time a rank spends blocked in a receive books as non-hidden
+    # communication -- a LET that arrived during the local walk cost
+    # nothing.  Boundaries and LETs then form one SourceForest that is
+    # walked once and evaluated once.
+    sources = [(boundaries[r], r) for r in range(comm.size)
+               if r != rank and r not in need_full_from]
+    for r in need_full_from:
         t0 = now()
-        pg1, pcl1, pg2, pcl2, mf = walk_interaction_lists(source, gmin, gmax)
-        max_frontier = max(max_frontier, mf)
-        sview = SourceView.build(source, spos=source.part_pos,
-                                 smass=source.part_mass)
-        evaluate_pc_pairs(acc_sorted, phi_sorted, spos, source, pg1, pcl1,
-                          tree.group_first, tree.group_count, eps2,
-                          config.quadrupole, counts_let, sview=sview,
-                          **eval_kw)
-        evaluate_pp_pairs(acc_sorted, phi_sorted, spos, source.part_pos,
-                          source.part_mass, pg2, pcl2,
-                          tree.group_first, tree.group_count,
-                          source.body_first, source.body_count, eps2,
-                          counts_let, exclude_self=False, sview=sview,
-                          **eval_kw)
-        rec("gravity_let", t0, now(), src=src_rank,
-            n_pp=counts_let.n_pp - pp0, n_pc=counts_let.n_pc - pc0)
-
-    def walk_batch(entries: list) -> None:
-        # One frontier pass over every source in the batch (``entries``
-        # is a list of ``(source, rank)`` pairs).  Each source's pair
-        # segment is then evaluated separately, in batch order, with a
-        # fresh chunk layout -- accumulation order, and hence float64
-        # bitwise results, match the per-source path.
-        nonlocal max_frontier
-        pp0, pc0 = counts_let.n_pp, counts_let.n_pc
+        sources.append((_recv_let(comm, r), r))
+        rec("non_hidden_comm", t0, now(), src=r)
+    if sources:
         t0 = now()
-        forest = SourceForest.concatenate([e[0] for e in entries],
-                                          [e[1] for e in entries])
+        forest = SourceForest.concatenate([s for s, _ in sources],
+                                          [r for _, r in sources])
         fpc_g, fpc_c, fpp_g, fpp_c, mf = walk_forest_interaction_lists(
             forest, gmin, gmax)
         max_frontier = max(max_frontier, mf)
-        pc_gs, pc_cs, pc_starts = split_by_source(forest, fpc_g, fpc_c)
-        pp_gs, pp_cs, pp_starts = split_by_source(forest, fpp_g, fpp_c)
-        sview = SourceView.build(forest, spos=forest.part_pos,
+        fview = SourceView.build(forest, spos=forest.part_pos,
                                  smass=forest.part_mass)
-        for i in range(forest.n_sources):
-            a, b = pc_starts[i], pc_starts[i + 1]
-            evaluate_pc_pairs(acc_sorted, phi_sorted, spos, forest,
-                              pc_gs[a:b], pc_cs[a:b],
-                              tree.group_first, tree.group_count, eps2,
-                              config.quadrupole, counts_let, sview=sview,
-                              **eval_kw)
-            a, b = pp_starts[i], pp_starts[i + 1]
-            evaluate_pp_pairs(acc_sorted, phi_sorted, spos,
-                              forest.part_pos, forest.part_mass,
-                              pp_gs[a:b], pp_cs[a:b],
-                              tree.group_first, tree.group_count,
-                              forest.body_first, forest.body_count, eps2,
-                              counts_let, exclude_self=False, sview=sview,
-                              **eval_kw)
-        rec("gravity_let", t0, now(), n_src=len(entries),
-            n_pp=counts_let.n_pp - pp0, n_pc=counts_let.n_pc - pc0)
-
-    # Remote contributions.  Sufficient boundaries are available now;
-    # full LETs from near neighbours are processed *as they arrive*
-    # (Sec. III-B2: the driver thread feeds whichever LET is ready to
-    # the GPU).  Only time spent blocked with nothing to process counts
-    # as non-hidden communication.  Under a deterministic tracer every
-    # LET is drained in rank order (blocking) before one combined walk,
-    # so traced runs replay identically; otherwise whichever LET is
-    # ready is consumed first (arrival order, fastest on real
-    # transports).
-    in_rank_order = tr.deterministic
-    sufficient = [r for r in range(comm.size)
-                  if r != comm.rank and r not in need_full_from]
-    n_received = 0
-    pending = list(need_full_from)
-    if config.batch_sources:
-        # Batched fast path: every drain of available structures is one
-        # forest walk instead of one walk per source.
-        batch = [(boundaries[r], r) for r in sufficient]
-        if in_rank_order:
-            for r in pending:
-                t0 = now()
-                let: LETData = _recv_let(comm, r)
-                rec("non_hidden_comm", t0, now(), src=r)
-                batch.append((let, r))
-                n_received += 1
-            pending = []
-            if batch:
-                walk_batch(batch)
-        else:
-            while True:
-                for r in [r for r in pending if comm.iprobe(r, TAG_LET)]:
-                    batch.append((_recv_let(comm, r), r))
-                    pending.remove(r)
-                    n_received += 1
-                if not batch and pending:
-                    r = pending.pop(0)
-                    t0 = now()
-                    batch.append((_recv_let(comm, r), r))
-                    rec("non_hidden_comm", t0, now(), src=r)
-                    n_received += 1
-                if batch:
-                    walk_batch(batch)
-                    batch = []
-                if not pending:
-                    break
-    else:
-        # Reference per-source path: one walk per remote structure.
-        for r in sufficient:
-            walk_remote(boundaries[r], r)
-        while pending:
-            if in_rank_order:
-                ready = None
-            else:
-                ready = next((r for r in pending if comm.iprobe(r, TAG_LET)),
-                             None)
-            if ready is None:
-                ready = pending[0]
-                t0 = now()
-                let = _recv_let(comm, ready)
-                rec("non_hidden_comm", t0, now(), src=ready)
-            else:
-                let = _recv_let(comm, ready)
-            pending.remove(ready)
-            n_received += 1
-            walk_remote(let, ready)
+        evaluate_pc_pairs(acc_sorted, phi_sorted, spos, forest, fpc_g, fpc_c,
+                          tree.group_first, tree.group_count, eps2,
+                          config.quadrupole, counts_let, sview=fview,
+                          **eval_kw)
+        evaluate_pp_pairs(acc_sorted, phi_sorted, spos, forest.part_pos,
+                          forest.part_mass, fpp_g, fpp_c,
+                          tree.group_first, tree.group_count,
+                          forest.body_first, forest.body_count, eps2,
+                          counts_let, exclude_self=False, sview=fview,
+                          **eval_kw)
+        rec("gravity_let", t0, now(), n_src=len(sources),
+            n_pp=counts_let.n_pp, n_pc=counts_let.n_pc)
 
     acc = np.empty_like(acc_sorted)
     phi = np.empty_like(phi_sorted)
@@ -402,7 +306,7 @@ def distributed_forces(comm: SimComm, particles: ParticleSet,
     return DistributedForceResult(
         acc=acc, phi=phi,
         counts_local=counts_local, counts_let=counts_let,
-        n_lets_sent=len(must_send_to), n_lets_received=n_received,
+        n_lets_sent=len(must_send_to), n_lets_received=len(need_full_from),
         let_bytes_sent=let_bytes,
         boundary_bytes=my_boundary.nbytes,
         tree=tree,

@@ -91,8 +91,3 @@ class SortCache:
         self._order = order
         return order
 
-    def invalidate(self) -> None:
-        """Drop the cached permutation (e.g. after an exchange)."""
-        self._order = None
-        self.last_mode = None
-        self._epoch = None

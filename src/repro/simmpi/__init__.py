@@ -1,7 +1,7 @@
 """SimMPI: a pluggable SPMD message-passing runtime.
 
 The paper's parallel algorithm is written against MPI.  This package
-provides substitutes at three fidelity levels behind one contract
+provides substitutes at two fidelity levels behind one contract
 (see :mod:`repro.simmpi.transport` and ``docs/TRANSPORTS.md``):
 
 - ``threads`` -- each logical rank runs the *same* SPMD program in its
@@ -10,9 +10,7 @@ provides substitutes at three fidelity levels behind one contract
 - ``process`` -- each rank is a forked OS process
   (:class:`ProcessWorld`), ndarray payloads moving through
   ``multiprocessing.shared_memory``: true multi-core execution with
-  identical accounting;
-- ``mpi4py`` -- a thin shim over ``MPI.COMM_WORLD`` for launching
-  under mpiexec (optional dependency).
+  identical accounting.
 
 Failure semantics: a rank that dies is *marked* on the world, and every
 peer blocked on it receives a typed :class:`RankFailedError` within one
@@ -56,7 +54,4 @@ def __getattr__(name: str):
     if name in ("ProcessWorld", "ProcessRankWorld"):
         from . import process
         return getattr(process, name)
-    if name == "MPIWorld":
-        from .mpishim import MPIWorld
-        return MPIWorld
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

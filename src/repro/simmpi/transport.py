@@ -14,11 +14,6 @@ once and run unchanged on any of:
     :class:`~repro.simmpi.process.ProcessWorld` -- every rank is a
     forked OS process; ndarray payloads travel through
     ``multiprocessing.shared_memory``.  True multi-core.
-``mpi4py``
-    :class:`~repro.simmpi.mpishim.MPIWorld` -- a thin adapter over
-    ``MPI.COMM_WORLD`` for running one rank per ``mpiexec`` process.
-    Only available when mpi4py is installed (it is optional and never
-    required by the test suite).
 
 See ``docs/TRANSPORTS.md`` for the feature matrix.
 """
@@ -28,7 +23,7 @@ from __future__ import annotations
 from typing import Any
 
 #: Recognised transport names, in preference order.
-TRANSPORTS = ("threads", "process", "mpi4py")
+TRANSPORTS = ("threads", "process")
 
 
 def world_transport(world: Any) -> str:
@@ -64,15 +59,5 @@ def make_world(size: int, transport: str = "threads",
             return FaultyProcessWorld(size, schedule, seed=seed,
                                       timeout=timeout, **kwargs)
         return ProcessWorld(size, timeout=timeout, **kwargs)
-    if transport == "mpi4py":
-        from .mpishim import MPIWorld, mpi_available
-        if not mpi_available():
-            raise RuntimeError(
-                "transport 'mpi4py' requires the mpi4py package "
-                "(launch under mpiexec; see docs/TRANSPORTS.md)")
-        if schedule is not None:
-            raise NotImplementedError(
-                "fault injection is not supported on the mpi4py shim")
-        return MPIWorld(size, timeout=timeout, **kwargs)
     raise ValueError(
         f"unknown transport {transport!r}; expected one of {TRANSPORTS}")

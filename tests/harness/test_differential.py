@@ -22,8 +22,7 @@ from repro.testing import differential_force_report, parallel_forces
 
 RANKS = (1, 2, 4, 8)
 THETAS = (0.25, 0.5, 0.75)
-#: Cross-transport equivalence matrix (the mpi4py shim needs mpiexec and
-#: is exercised by its own opt-in test, not here).
+#: Cross-transport equivalence matrix.
 TRANSPORT_RANKS = (1, 2, 4)
 
 
@@ -99,9 +98,9 @@ def test_differential_with_invariant_checks_enabled():
 def _transport_probe(ranks: int, transport: str, n_steps: int = 2):
     """One short run; returns (per-rank state, counts, traffic totals).
 
-    Runs under a :class:`VirtualClock` tracer, which selects the
-    deterministic LET arrival path (rank-order blocking recvs) -- the
-    mode in which bitwise force equality across transports is a hard
+    Runs under a :class:`VirtualClock` tracer so the logical timeline
+    is deterministic too; LETs are drained in rank order on every run,
+    which makes bitwise force equality across transports a hard
     guarantee rather than a timing accident.
     """
     from repro.obs import Tracer, VirtualClock
@@ -135,17 +134,15 @@ def test_process_transport_bitwise_equal_to_threads(ranks):
 def test_process_transport_force_primer_matches(ranks):
     """The `parallel_forces` harness itself runs on both substrates.
 
-    Untraced runs consume LETs in arrival order, so this asserts the
-    maskable-fault-grade envelope rather than bitwise equality (which
-    the traced probe above guarantees).
+    Untraced runs drain LETs in rank order like traced ones, so the
+    substrates agree bitwise.
     """
-    from repro.testing import max_rel_difference
     ps = _ic("plummer")
     cfg = _cfg(0.5)
     acc_t, phi_t = parallel_forces(ps, cfg, ranks)
     acc_p, phi_p = parallel_forces(ps, cfg, ranks, transport="process")
-    assert max_rel_difference(acc_p, acc_t) < 1e-12
-    assert np.max(np.abs(phi_p - phi_t) / (np.abs(phi_t) + 1e-300)) < 1e-12
+    assert np.array_equal(acc_p, acc_t)
+    assert np.array_equal(phi_p, phi_t)
 
 
 def test_differential_report_on_process_transport():

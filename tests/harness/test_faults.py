@@ -187,11 +187,8 @@ def test_maskable_fault_parity_across_transports(ps, cfg):
     acc_p, _ = parallel_forces(ps, cfg, 4, world=wp)
 
     # Both transports mask the schedule to machine precision.  (Bitwise
-    # equality is asserted on the deterministic traced path in
-    # tests/harness/test_differential.py; untraced runs walk LETs in
-    # arrival order, and the reorder holdback lives on the sender side
-    # on threads but the receiver side on process, so the float
-    # accumulation order may differ in the last bits.)
+    # cross-transport equality of fault-free runs is asserted in
+    # tests/harness/test_differential.py.)
     assert max_rel_difference(acc_t, acc_p) < 1e-12
     assert max_rel_difference(acc_p, acc_clean) < 1e-12
     for kind in ("delay", "reorder", "duplicate"):

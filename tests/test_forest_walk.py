@@ -1,25 +1,29 @@
-"""Fast-path force pipeline equivalence: batched forest walks and the
+"""Remote-force pipeline equivalence: the whole-forest evaluation and the
 sort cache.
 
-The tentpole invariant: every fast-path knob is a pure optimisation.
-The batched multi-source walk must produce *byte-identical* interaction
-counts and *bitwise-equal* forces to the reference one-walk-per-source
-path (under the deterministic tracer, which fixes LET arrival order for
-both).
+The remote half of a distributed force pass is one forest: every
+sufficient boundary plus every full LET, walked once and evaluated
+once.  These tests hold it against a reference built here from the
+public pieces -- one ``walk_interaction_lists`` plus one evaluation per
+source, summed -- with byte-identical interaction counts and forces
+equal to float64 round-off (bitwise when a rank has one remote source).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import SimulationConfig
 from repro.core.parallel_simulation import ParallelSimulation
-from repro.gravity import (
-    SourceForest,
-    split_by_source,
-    walk_interaction_lists,
-)
+from repro.gravity import SourceForest, walk_interaction_lists
+from repro.gravity.flops import InteractionCounts
 from repro.gravity.forest import walk_forest_interaction_lists
-from repro.gravity.treewalk import group_aabbs
+from repro.gravity.treewalk import (
+    evaluate_pc_pairs,
+    evaluate_pp_pairs,
+    group_aabbs,
+)
 from repro.ics import plummer_model
 from repro.obs import Tracer, VirtualClock
 from repro.octree import (
@@ -29,7 +33,9 @@ from repro.octree import (
     make_groups,
 )
 from repro.parallel import boundary_structure
+from repro.parallel.lettree import boundary_sufficient_for, build_let_for_box
 from repro.sfc import BoundingBox
+from repro.sfc.sortcache import SortCache
 from repro.simmpi import SimWorld, spmd_run
 
 N = 1024
@@ -41,73 +47,159 @@ def _cfg(**kw):
     return SimulationConfig(**base)
 
 
-def _forces(particles, config, n_ranks, steps=0, load_balance="flops"):
-    """One traced distributed force evaluation (+ optional steps).
+def _cold_order_for(self, keys, epoch=None):
+    """Stand-in for :meth:`SortCache.order_for` that never reuses."""
+    self.last_mode = "cold"
+    return np.argsort(keys, kind="stable")
 
-    The deterministic virtual clock fixes LET consumption order, so two
-    configurations that promise bitwise-equal forces can be compared
-    exactly.  Returns id-ordered (acc, phi), per-rank count tuples and
-    the per-rank peak frontier widths.
+
+def _run(particles, config, n_ranks, steps=0, traced=True):
+    """One distributed force evaluation (+ optional steps) per rank.
+
+    Returns one ``(ids, acc, phi, particles, result)`` tuple per rank:
+    the driver's id and force arrays in its local particle order, the
+    local particle set and the final :class:`DistributedForceResult`.
     """
     n = particles.n
     world = SimWorld(n_ranks)
-    world.attach_tracer(Tracer(clock=VirtualClock()))
+    if traced:
+        world.attach_tracer(Tracer(clock=VirtualClock()))
 
     def prog(comm):
         lo = n * comm.rank // comm.size
         hi = n * (comm.rank + 1) // comm.size
         sim = ParallelSimulation(comm, particles.select(np.arange(lo, hi)),
-                                 config, load_balance=load_balance)
+                                 config, load_balance="flops")
         sim.prime()
         for _ in range(steps):
             sim.step()
-        r = sim._result
-        return (sim.particles.ids, sim._acc, sim._phi,
-                (r.counts_local.n_pp, r.counts_local.n_pc,
-                 r.counts_let.n_pp, r.counts_let.n_pc),
-                r.max_frontier)
+        return (sim.particles.ids, sim._acc, sim._phi, sim.particles,
+                sim._result)
 
-    results = spmd_run(n_ranks, prog, world=world, timeout=300.0)
-    ids = np.concatenate([r[0] for r in results])
-    order = np.argsort(ids, kind="stable")
-    acc = np.concatenate([r[1] for r in results])[order]
-    phi = np.concatenate([r[2] for r in results])[order]
-    counts = [r[3] for r in results]
-    frontiers = [r[4] for r in results]
-    return acc, phi, counts, frontiers
+    return spmd_run(n_ranks, prog, world=world, timeout=300.0)
 
 
-# -- batched forest vs per-source walks (the tentpole) --------------------
+def _by_id(ranks, arrays):
+    """Concatenate per-rank arrays and put them in particle-id order."""
+    ids = np.concatenate([r[0] for r in ranks])
+    return np.concatenate(arrays)[np.argsort(ids, kind="stable")]
+
+
+def _counts(result):
+    return (result.counts_local.n_pp, result.counts_local.n_pc,
+            result.counts_let.n_pp, result.counts_let.n_pc)
+
+
+def _per_source_reference(ranks, config):
+    """Forces from one walk and one evaluation per source, summed.
+
+    Each rank's trees and particles come from the pipeline's run; the
+    remote sources are rebuilt here from them (the boundary where it
+    suffices for the target domain, a full LET otherwise).  Returns
+    per-rank ``(acc, phi, counts)`` in local particle order.
+    """
+    eps2 = config.softening ** 2
+    q = config.quadrupole
+    sorted_sets = []
+    for r in ranks:
+        ps, tree = r[3], r[4].tree
+        sorted_sets.append((tree, ps.pos[tree.order], ps.mass[tree.order]))
+    out = []
+    for i, (tree, spos, smass) in enumerate(sorted_sets):
+        gmin, gmax = group_aabbs(tree, spos)
+        box = (tree.bmin[0], tree.bmax[0])
+        local = InteractionCounts(quadrupole=q)
+        let = InteractionCounts(quadrupole=q)
+        sources = [(tree, spos, smass, local, True)]
+        for j, (rtree, rspos, rsmass) in enumerate(sorted_sets):
+            if j == i:
+                continue
+            src = boundary_structure(rtree, rspos, rsmass)
+            if not boundary_sufficient_for(src, *box):
+                src = build_let_for_box(rtree, rspos, rsmass, *box)
+            sources.append((src, src.part_pos, src.part_mass, let, False))
+        acc_s = np.zeros((len(spos), 3))
+        phi_s = np.zeros(len(spos))
+        for src, sp, sm, counts, exclude_self in sources:
+            pc_g, pc_c, pp_g, pp_c, _ = walk_interaction_lists(
+                src, gmin, gmax)
+            evaluate_pc_pairs(acc_s, phi_s, spos, src, pc_g, pc_c,
+                              tree.group_first, tree.group_count, eps2, q,
+                              counts)
+            evaluate_pp_pairs(acc_s, phi_s, spos, sp, sm, pp_g, pp_c,
+                              tree.group_first, tree.group_count,
+                              src.body_first, src.body_count, eps2, counts,
+                              exclude_self=exclude_self)
+        acc = np.empty_like(acc_s)
+        phi = np.empty_like(phi_s)
+        acc[tree.order] = acc_s
+        phi[tree.order] = phi_s
+        out.append((acc, phi, (local.n_pp, local.n_pc, let.n_pp, let.n_pc)))
+    return out
+
+
+def _assert_matches_reference(ranks, config):
+    ref = _per_source_reference(ranks, config)
+    assert [_counts(r[4]) for r in ranks] == [x[2] for x in ref]
+    acc, racc = _by_id(ranks, [r[1] for r in ranks]), \
+        _by_id(ranks, [x[0] for x in ref])
+    phi, rphi = _by_id(ranks, [r[2] for r in ranks]), \
+        _by_id(ranks, [x[1] for x in ref])
+    if len(ranks) <= 2:
+        # At most one remote source: the forest holds exactly the pairs
+        # of that source's own walk, so the sums are the same sums.
+        assert acc.tobytes() == racc.tobytes()
+        assert phi.tobytes() == rphi.tobytes()
+    # Accumulation order differs across sources, so components that
+    # nearly cancel get an absolute floor (as in test_gravity_blocked).
+    np.testing.assert_allclose(acc, racc, rtol=1e-14,
+                               atol=1e-14 * np.abs(racc).max())
+    np.testing.assert_allclose(phi, rphi, rtol=1e-14,
+                               atol=1e-14 * np.abs(rphi).max())
+
+
+# -- whole-forest evaluation vs per-source walks --------------------------
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 4, 8])
 def test_batched_forest_bitwise_matches_per_source(n_ranks):
-    particles = plummer_model(N, seed=11)
-    ref = _forces(particles, _cfg(batch_sources=False), n_ranks)
-    fast = _forces(particles, _cfg(batch_sources=True), n_ranks)
-    assert fast[2] == ref[2]                      # counts byte-identical
-    assert fast[0].tobytes() == ref[0].tobytes()  # forces bitwise equal
-    assert fast[1].tobytes() == ref[1].tobytes()
-    assert all(f >= 1 for f in fast[3])
+    config = _cfg()
+    ranks = _run(plummer_model(N, seed=11), config, n_ranks)
+    _assert_matches_reference(ranks, config)
+    assert all(r[4].max_frontier >= 1 for r in ranks)
 
 
 def test_batched_forest_matches_after_steps():
     # Multiple steps: the comparison also covers sort-cache reuse and the
     # keys carried through the exchange.
-    particles = plummer_model(N, seed=12)
-    ref = _forces(particles, _cfg(batch_sources=False), 4, steps=2)
-    fast = _forces(particles, _cfg(batch_sources=True), 4, steps=2)
-    assert fast[2] == ref[2]
-    assert fast[0].tobytes() == ref[0].tobytes()
+    config = _cfg()
+    ranks = _run(plummer_model(N, seed=12), config, 4, steps=2)
+    _assert_matches_reference(ranks, config)
 
 
-def test_sort_reuse_off_matches_on():
+def test_untraced_run_matches_traced_bitwise():
+    # Traced and untraced runs execute the same program: the tracer's
+    # clock must not change which LET is consumed when.
+    particles = plummer_model(N, seed=13)
+    traced = _run(particles, _cfg(), 4, steps=1)
+    untraced = _run(particles, _cfg(), 4, steps=1, traced=False)
+    assert [_counts(r[4]) for r in traced] == \
+        [_counts(r[4]) for r in untraced]
+    acc_t = _by_id(traced, [r[1] for r in traced])
+    acc_u = _by_id(untraced, [r[1] for r in untraced])
+    assert acc_t.tobytes() == acc_u.tobytes()
+
+
+def test_sort_cache_matches_cold_sort(monkeypatch):
     # Plummer keys are distinct, so tie-breaking cannot bite: reusing
     # the sort permutation must reproduce the cold-sort forces exactly.
     particles = plummer_model(N, seed=15)
-    on = _forces(particles, _cfg(sort_reuse=True), 2, steps=2)
-    off = _forces(particles, _cfg(sort_reuse=False), 2, steps=2)
-    assert on[2] == off[2]
-    assert on[0].tobytes() == off[0].tobytes()
+    on = _run(particles, _cfg(), 2, steps=2)
+    with monkeypatch.context() as m:
+        m.setattr(SortCache, "order_for", _cold_order_for)
+        off = _run(particles, _cfg(), 2, steps=2)
+    assert [_counts(r[4]) for r in on] == [_counts(r[4]) for r in off]
+    assert _by_id(on, [r[1] for r in on]).tobytes() == \
+        _by_id(off, [r[1] for r in off]).tobytes()
 
 
 # -- forest walk unit tests ----------------------------------------------
@@ -136,6 +228,11 @@ def slabs():
     return sources, gmin, gmax
 
 
+def _by_cell_group(g, c):
+    order = np.lexsort((g, c))
+    return c[order], g[order]
+
+
 def test_forest_pairs_equal_per_source_walks(slabs):
     sources, gmin, gmax = slabs
     forest = SourceForest.concatenate(sources, ranks=range(1, 4))
@@ -143,28 +240,14 @@ def test_forest_pairs_equal_per_source_walks(slabs):
     assert forest.n_cells == sum(len(s.mass) for s in sources)
     fpc_g, fpc_c, fpp_g, fpp_c, mf = walk_forest_interaction_lists(
         forest, gmin, gmax)
-    pc_g, pc_c, pc_s = split_by_source(forest, fpc_g, fpc_c)
-    pp_g, pp_c, pp_s = split_by_source(forest, fpp_g, fpp_c)
     assert mf >= 1
-    for i, src in enumerate(sources):
-        rpc_g, rpc_c, rpp_g, rpp_c, _ = walk_interaction_lists(
-            src, gmin, gmax)
-        off = forest.cell_offsets[i]
-        a, b = pc_s[i], pc_s[i + 1]
-        assert np.array_equal(pc_g[a:b], rpc_g)
-        assert np.array_equal(pc_c[a:b] - off, rpc_c)
-        a, b = pp_s[i], pp_s[i + 1]
-        assert np.array_equal(pp_g[a:b], rpp_g)
-        assert np.array_equal(pp_c[a:b] - off, rpp_c)
-
-
-def test_forest_empty_pair_split(slabs):
-    sources, _, _ = slabs
-    forest = SourceForest.concatenate(sources, ranks=range(1, 4))
-    e = np.empty(0, dtype=np.int64)
-    pg, pc, starts = split_by_source(forest, e, e)
-    assert len(pg) == 0 and len(pc) == 0
-    assert np.array_equal(starts, np.zeros(4, dtype=np.int64))
+    walks = [walk_interaction_lists(src, gmin, gmax) for src in sources]
+    offs = forest.cell_offsets[:-1]
+    for fg, fc, k in ((fpc_g, fpc_c, 0), (fpp_g, fpp_c, 2)):
+        g = np.concatenate([w[k] for w in walks])
+        c = np.concatenate([w[k + 1] + o for w, o in zip(walks, offs)])
+        for got, want in zip(_by_cell_group(fg, fc), _by_cell_group(g, c)):
+            assert np.array_equal(got, want)
 
 
 def test_forest_rejects_zero_sources():
@@ -172,21 +255,34 @@ def test_forest_rejects_zero_sources():
         SourceForest.concatenate([], [])
 
 
-def test_config_validates_fast_path_knobs():
+def test_config_validates_fields():
     nan = float("nan")
-    for kw in (dict(chunk=0),
-               # NaN passes every "<= 0" bound check, so each float
-               # knob must be rejected as non-finite explicitly.
-               dict(theta=nan), dict(dt=nan), dict(softening=nan),
-               dict(watchdog_grace=nan)):
-        with pytest.raises(ValueError):
+    for kw, field in (
+            # NaN passes every "<= 0" bound check, so each float
+            # knob must be rejected as non-finite explicitly.
+            (dict(theta=nan), "theta"), (dict(dt=nan), "dt"),
+            (dict(softening=nan), "softening"),
+            (dict(watchdog_grace=nan), "watchdog_grace"),
+            # Tree parameters are ints >= 1 and a real bool, checked
+            # here rather than at the first force pass on some rank.
+            (dict(nleaf=0), "nleaf"), (dict(ncrit=0), "ncrit"),
+            (dict(nleaf=16.5), "nleaf"), (dict(ncrit=2.5), "ncrit"),
+            (dict(nleaf=True), "nleaf"),
+            (dict(quadrupole="no"), "quadrupole"),
+            (dict(quadrupole=1), "quadrupole")):
+        with pytest.raises(ValueError, match=field):
             SimulationConfig(**kw)
-    # The scatter knob is gone with the bincount path it selected.
-    with pytest.raises(TypeError):
-        SimulationConfig(scatter="segment")
+    assert SimulationConfig(nleaf=np.int64(8), ncrit=32).nleaf == 8
+    # Exactly these fields: a removed one is rejected, not ignored.
+    assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
+        "theta", "softening", "dt", "nleaf", "ncrit", "mac", "curve",
+        "quadrupole", "force_method", "transport", "watchdog_grace"]
+    for kw in (dict(scatter="segment"), dict(chunk=4096)):
+        with pytest.raises(TypeError):
+            SimulationConfig(**kw)
 
 
-def test_sort_reuse_bitwise_under_forced_rebalance():
+def test_sort_cache_bitwise_under_forced_rebalance(monkeypatch):
     # Measured LB with trigger ratio 1.0 rebalances on every step, the
     # adversarial case for a sort permutation surviving an exchange: the
     # layout epoch must drop it, so reused sorts stay bitwise equal to
@@ -194,7 +290,7 @@ def test_sort_reuse_bitwise_under_forced_rebalance():
     # (lb_source="counts") so the decomposition is timing-independent.
     particles = plummer_model(N, seed=26)
 
-    def run(config):
+    def run():
         n = particles.n
         world = SimWorld(4)
         world.attach_tracer(Tracer(clock=VirtualClock()))
@@ -203,7 +299,7 @@ def test_sort_reuse_bitwise_under_forced_rebalance():
             lo = n * comm.rank // comm.size
             hi = n * (comm.rank + 1) // comm.size
             sim = ParallelSimulation(
-                comm, particles.select(np.arange(lo, hi)), config,
+                comm, particles.select(np.arange(lo, hi)), _cfg(),
                 load_balance="measured", lb_source="counts",
                 lb_trigger_ratio=1.0)
             sim.prime()
@@ -218,7 +314,9 @@ def test_sort_reuse_bitwise_under_forced_rebalance():
         bumps = sum(r[2] for r in results)
         return acc, bumps
 
-    acc_ref, _ = run(_cfg(sort_reuse=False))
-    acc_on, bumps = run(_cfg(sort_reuse=True))
+    with monkeypatch.context() as m:
+        m.setattr(SortCache, "order_for", _cold_order_for)
+        acc_ref, _ = run()
+    acc_on, bumps = run()
     assert bumps > 0      # the hazard was actually exercised
     assert acc_on.tobytes() == acc_ref.tobytes()

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.gravity import SourceForest, split_by_source
+from repro.gravity import SourceForest
 from repro.gravity.flops import InteractionCounts
 from repro.gravity.forest import walk_forest_interaction_lists
 from repro.gravity.kernels import pc_interactions, pp_interactions
@@ -214,10 +214,8 @@ def test_forest_source():
     target, tpos, _ = make(parts[0])
     forest = SourceForest.concatenate(
         [boundary_structure(*make(p)) for p in parts[1:]], ranks=(1, 2))
-    fpc_g, fpc_c, fpp_g, fpp_c, _ = walk_forest_interaction_lists(
+    pc_g, pc_c, pp_g, pp_c, _ = walk_forest_interaction_lists(
         forest, *group_aabbs(target, tpos))
-    pc_g, pc_c, pc_s = split_by_source(forest, fpc_g, fpc_c)
-    pp_g, pp_c, pp_s = split_by_source(forest, fpp_g, fpp_c)
     assert len(pc_g) and len(pp_g)
     gf, gc = target.group_first, target.group_count
     args = (tpos, forest, forest.part_pos, forest.part_mass,

@@ -55,16 +55,6 @@ def test_length_change_falls_back():
     _check(cache, keys, "cold")
 
 
-def test_invalidate_forces_cold():
-    rng = np.random.default_rng(3)
-    keys = rng.integers(0, 1 << 60, 500).astype(np.uint64)
-    cache = SortCache()
-    cache.order_for(keys)
-    cache.invalidate()
-    assert cache.last_mode is None
-    _check(cache, keys, "cold")
-
-
 def test_empty_and_singleton():
     cache = SortCache()
     assert len(cache.order_for(np.empty(0, dtype=np.uint64))) == 0
@@ -121,12 +111,3 @@ def test_sort_cache_same_epoch_preserves_reuse():
     o2 = sc.order_for(keys, epoch=3)
     assert sc.last_mode == "reuse"
     assert o2 is o1
-
-
-def test_sort_cache_invalidate_clears_epoch():
-    keys = np.array([2, 1], dtype=np.uint64)
-    sc = SortCache()
-    sc.order_for(keys, epoch=5)
-    sc.invalidate()
-    sc.order_for(keys, epoch=5)
-    assert sc.last_mode == "cold"

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import SimulationConfig
 from repro.parallel.decomposition import DomainDecomposition
 from repro.parallel.exchange import exchange_particles
 from repro.particles import ParticleSet
@@ -181,12 +182,13 @@ def test_make_world_rejects_unknown_transport():
         make_world(2, transport="carrier-pigeon")
 
 
-def test_mpi4py_transport_gated_when_absent():
-    from repro.simmpi.mpishim import mpi_available
-    if mpi_available():
-        pytest.skip("mpi4py installed; the absent-gating path can't fire")
-    with pytest.raises(RuntimeError, match="mpi4py"):
+def test_mpi4py_transport_is_unknown():
+    # The mpi4py shim is gone: the name is an unknown transport at both
+    # entry points.
+    with pytest.raises(ValueError, match="unknown transport"):
         make_world(2, transport="mpi4py")
+    with pytest.raises(ValueError, match="unknown transport"):
+        SimulationConfig(transport="mpi4py")
 
 
 # -- shm codec -------------------------------------------------------------
